@@ -24,8 +24,8 @@ from .forms import (
     Weight,
     classification_tolerance,
     classify_real_form,
-    quadratic_matrix,
-    uninterleave,
+    interleave,
+    realify,
 )
 from .symplectic import LinearCanonicalMap, QuadraticPhase, canonical_from_phase
 from .toeplitz import SubVerdict, ToeplitzProblem, VerdictClass
@@ -187,6 +187,12 @@ def coherent_overlap(weight: Weight, w, z) -> complex:
     return complex(np.exp(2.0 * psi - weight.value(z) - weight.value(w)))
 
 
+def _growth_quadratic_matrix(f: BergmanForm, weight: Weight) -> np.ndarray:
+    """2 Re(x.fxx x) - 2 Phi(x), the x-quadratic part of the growth
+    exponent, as a real symmetric matrix in interleaved coordinates."""
+    return realify(4.0 * (f.fxx - weight.p), -2.0 * weight.h, np.zeros_like(weight.h))
+
+
 def growth_exponent(f: BergmanForm, weight: Weight, w, tol=None) -> float:
     """sup_x (4 Re f(x, conj(w)) - 2 Phi(x)) - 2 Phi(w).
 
@@ -198,25 +204,17 @@ def growth_exponent(f: BergmanForm, weight: Weight, w, tol=None) -> float:
     _require_hermitian_weight(weight, "the growth exponent")
     if tol is None:
         tol = classification_tolerance()
-    n = f.n
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     wbar = np.conj(w)
 
-    def quad_part(t):
-        x = uninterleave(t)
-        return 2.0 * (x @ f.fxx @ x).real - 2.0 * weight.value(x)
-
-    mq = quadratic_matrix(quad_part, 2 * n)
+    mq = _growth_quadratic_matrix(f, weight)
     eigs = np.linalg.eigvalsh(mq)
     scale = float(np.max(np.abs(eigs)))
     if eigs[-1] >= -tol * scale:
         return math.inf
 
-    lin = np.zeros(2 * n)
-    eye = np.eye(2 * n)
-    for a in range(2 * n):
-        x = uninterleave(eye[a])
-        lin[a] = 4.0 * (x @ f.fxz @ wbar).real
+    # linear part 4 Re(x.fxz wbar) = lin . t
+    lin = 4.0 * interleave(np.conj(f.fxz @ wbar))
     const = 2.0 * (wbar @ f.fzz @ wbar).real
     peak = const - 0.25 * lin @ np.linalg.solve(mq, lin)
     return float(peak - 2.0 * weight.value(w))
@@ -233,14 +231,15 @@ class CriterionResult:
 
 
 def _growth_gap_matrix(f: BergmanForm, weight: Weight) -> np.ndarray:
+    """Phi(x) + Phi(w) - 2 Re f(x, conj(w)) as a real symmetric matrix in
+    the interleaved coordinates of the stacked variable (x, w)."""
     n = f.n
-
-    def gap(t):
-        x = uninterleave(t[: 2 * n])
-        w = uninterleave(t[2 * n:])
-        return weight.value(x) + weight.value(w) - 2.0 * f.value(x, np.conj(w)).real
-
-    return quadratic_matrix(gap, 4 * n)
+    h, p = weight.h, weight.p
+    z = np.zeros((n, n))
+    a = np.block([[2.0 * (p - f.fxx), z], [z, 2.0 * p]])
+    b = np.block([[h, z], [-2.0 * f.fxz.T, h]])
+    c = np.block([[z, z], [z, -2.0 * f.fzz]])
+    return realify(a, b, c)
 
 
 def coherent_bound_criterion(

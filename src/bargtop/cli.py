@@ -23,14 +23,18 @@ import numpy as np
 import yaml
 
 from .errors import InadmissibleProblem, NumericalFailure, ProblemFileError
-from .forms import ComplexQuadraticForm, Weight
-from .toeplitz import ToeplitzProblem, Verdict, VerdictClass, canonical_map, classify_operator
+from .forms import ComplexQuadraticForm, Weight, classification_tolerance, parse_tolerance
+from .toeplitz import ToeplitzProblem, Verdict, VerdictClass, classify_operator
 from . import bergman, model, oracle, verify, weyl
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILURE = 1
 EXIT_INADMISSIBLE = 2
 EXIT_NUMERICAL = 3
+
+# libyaml's parser when this PyYAML build has it; both resolve YAML 1.1
+# tags the same way, the C one parses several times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 # ---------------------------------------------------------------------------
@@ -58,21 +62,41 @@ def _complex_matrix(rows, n: int, where: str) -> np.ndarray:
     return out
 
 
+def _file_tolerance(data) -> float | None:
+    tols = data.get("tolerances")
+    if tols is None:
+        return None
+    if not isinstance(tols, dict):
+        raise ProblemFileError("tolerances: must be a mapping")
+    value = tols.get("classification")
+    if value is None:
+        return None
+    try:
+        return parse_tolerance(value, "tolerances.classification")
+    except ValueError as exc:
+        raise ProblemFileError(str(exc)) from exc
+
+
 def load_problem(path: str) -> ToeplitzProblem:
-    """Parse a YAML problem file into a problem instance."""
+    """Parse a YAML problem file into a problem instance.
+
+    The file's ``tolerances.classification``, when given, becomes the
+    problem's tolerance and governs its admissibility check and its
+    classification.
+    """
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ProblemFileError(f"{path}: top level must be a mapping")
     if "n" not in data:
         raise ProblemFileError("n: field is required")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ProblemFileError("n: must be a positive integer")
     phi = data.get("phi0")
     if not isinstance(phi, dict) or "hermitian" not in phi:
@@ -86,22 +110,13 @@ def load_problem(path: str) -> ToeplitzProblem:
     qxx = _complex_matrix(qdata.get("xx", zero), n, "q.xx")
     qxbx = _complex_matrix(qdata.get("xbarx", zero), n, "q.xbarx")
     qxbxb = _complex_matrix(qdata.get("xbarxbar", zero), n, "q.xbarxbar")
+    tol = _file_tolerance(data)
     try:
         weight = Weight(h, p)
         q = ComplexQuadraticForm(qxx, qxbx, qxbxb)
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from exc
-    return ToeplitzProblem(weight, q)
-
-
-def _load_tolerance(path: str):
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
-    tols = data.get("tolerances") if isinstance(data, dict) else None
-    if tols is None:
-        return None
-    value = tols.get("classification")
-    return None if value is None else float(value)
+    return ToeplitzProblem(weight, q, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +131,7 @@ def _cmatrix(m) -> list:
     return [[_cpx(v) for v in row] for row in np.asarray(m, dtype=complex)]
 
 
-def build_report(problem: ToeplitzProblem, verdict: Verdict, elapsed: float) -> dict:
+def build_report(verdict: Verdict, elapsed: float) -> dict:
     report = {
         "verdict": verdict.verdict.value,
         "boundary": verdict.boundary,
@@ -129,15 +144,15 @@ def build_report(problem: ToeplitzProblem, verdict: Verdict, elapsed: float) -> 
     if verdict.verdict is VerdictClass.INADMISSIBLE:
         report["failures"] = list(verdict.admissibility.failures)
         return report
-    report["kappa"] = _cmatrix(canonical_map(problem).k)
-    symbol = weyl.weyl_symbol(problem)
+    report["kappa"] = _cmatrix(verdict.kappa.k)
+    symbol = verdict.symbol
     report["weyl_exponent"] = {
         "xx": _cmatrix(symbol.g.qxx),
         "xbarx": _cmatrix(symbol.g.qxbx),
         "xbarxbar": _cmatrix(symbol.g.qxbxb),
     }
     report["weyl_prefactor_modulus"] = symbol.prefactor_modulus
-    f = bergman.bergman_exponent(problem.reduced())
+    f = verdict.bergman_form
     report["bergman_exponent"] = {
         "xx": _cmatrix(f.fxx),
         "xz": _cmatrix(f.fxz),
@@ -152,14 +167,13 @@ def build_report(problem: ToeplitzProblem, verdict: Verdict, elapsed: float) -> 
 def _cmd_classify(args) -> int:
     try:
         problem = load_problem(args.file)
-        tol = _load_tolerance(args.file)
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     start = time.perf_counter()
     try:
-        verdict = classify_operator(problem, tol=tol)
-        report = build_report(problem, verdict, time.perf_counter() - start)
+        verdict = classify_operator(problem)
+        report = build_report(verdict, time.perf_counter() - start)
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -196,9 +210,11 @@ def _parse_values(text: str, what: str) -> list:
 def _scan_point(point):
     re_lam, im_lam, norm_a = (float(v) for v in point)
     inst = model.ModelInstance(1, complex(re_lam, im_lam), np.array([[norm_a]]))
-    if not inst.is_admissible:
-        return (re_lam, im_lam, norm_a, "inadmissible", math.nan)
+    # the pipeline's check keeps a tolerance band that the closed-form
+    # condition Re lam + ||A|| < 1/4 does not, so it decides admissibility
     verdict = classify_operator(model.model_problem(inst))
+    if verdict.verdict is VerdictClass.INADMISSIBLE:
+        return (re_lam, im_lam, norm_a, "inadmissible", math.nan)
     closed = model.classify_model(inst)
     mismatch = (
         verdict.verdict is not closed.verdict
@@ -314,10 +330,11 @@ def _cmd_oracle(args) -> int:
                 w[0] = r
                 logs.append(float(np.log(oracle.numeric_coherent_norm(problem, w))))
             slope = float(np.polyfit(np.array(radii) ** 2, logs, 1)[0])
-            f = bergman.bergman_exponent(problem.reduced())
+            reduced = problem.reduced()
+            f = bergman.bergman_exponent(reduced)
             w = np.zeros(problem.n, dtype=complex)
             w[0] = 1.0
-            predicted = bergman.growth_exponent(f, problem.reduced().weight, w) / 2.0
+            predicted = bergman.growth_exponent(f, reduced.weight, w) / 2.0
             out.update(radii=radii, log_norms=logs, slope=slope,
                        predicted_slope=predicted if math.isfinite(predicted) else "inf")
         print(json.dumps(out, indent=2, sort_keys=True))
@@ -388,6 +405,11 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = make_parser().parse_args(_join_negative_values(list(argv)))
+    try:
+        classification_tolerance()  # a bad TOEPLITZ_TOL fails here, not mid-run
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
     return args.fn(args)
 
 

@@ -20,6 +20,7 @@ Conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -35,9 +36,11 @@ __all__ = [
     "split_herm_plh",
     "check_polar_nondegenerate",
     "classification_tolerance",
+    "parse_tolerance",
     "interleave",
     "uninterleave",
     "quadratic_matrix",
+    "realify",
     "real_part_matrix",
     "classify_real_form",
 ]
@@ -48,12 +51,28 @@ _SYM_TOL = 1e-12
 _DEGENERACY_TOL = 1e-9
 
 
+def parse_tolerance(value, where: str) -> float:
+    """A tolerance read from outside the program, as a float.
+
+    Numbers and numeric strings are accepted; anything that is not a
+    finite nonnegative number raises ValueError naming ``where``.
+    """
+    try:
+        tol = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{where}: must be a finite nonnegative number, got {value!r}")
+    return tol
+
+
 def classification_tolerance() -> float:
     """Relative eigenvalue tolerance for definiteness decisions.
 
     Defaults to 1e-9; the environment variable TOEPLITZ_TOL overrides it.
+    A value that is not a finite nonnegative number raises ValueError.
     """
-    return float(os.environ.get("TOEPLITZ_TOL", "1e-9"))
+    return parse_tolerance(os.environ.get("TOEPLITZ_TOL", "1e-9"), "TOEPLITZ_TOL")
 
 
 def interleave(z):
@@ -76,7 +95,9 @@ def quadratic_matrix(fn, m):
 
     ``fn`` maps a length-m real vector to a scalar (real or complex) and
     must be a quadratic form; the matrix is recovered from evaluations on
-    basis vectors and pair sums, so no block algebra can go wrong.
+    basis vectors and pair sums, so no block algebra can go wrong.  It
+    costs O(m^2) Python evaluations: the tests use it as the reference for
+    :func:`realify`, which the pipeline calls instead.
     """
     eye = np.eye(m)
     diag = np.array([fn(eye[a]) for a in range(m)])
@@ -90,6 +111,30 @@ def quadratic_matrix(fn, m):
     if np.iscomplexobj(out) and np.max(np.abs(out.imag)) == 0.0:
         out = out.real
     return out
+
+
+# x_j = u.(t_{2j}, t_{2j+1}) with u = (1, i), so x = E t for E = I (x) u, and
+# E^T A E, conj(E)^T B E, conj(E)^T C conj(E) are the Kronecker products of
+# A, B, C with the outer products u u, conj(u) u, conj(u) conj(u); the
+# trailing axes below lay those out as (j, r, k, s) -> (2j + r, 2k + s)
+_U = np.array([1.0, 1j])
+_UU = np.outer(_U, _U)[:, None, :]
+_UBU = np.outer(_U.conj(), _U)[:, None, :]
+_UBUB = np.outer(_U.conj(), _U.conj())[:, None, :]
+
+
+def realify(a, b, c) -> np.ndarray:
+    """Real symmetric matrix of t -> Re((1/2) x.A x + xbar.B x + (1/2) xbar.C xbar)
+    with x = uninterleave(t).
+
+    With x = E t, E = [I, iI] column-interleaved, the matrix is
+    Re sym(E^T A E / 2 + conj(E)^T B E + conj(E)^T C conj(E) / 2); the
+    blocks need not be symmetric.
+    """
+    a, b, c = (np.asarray(blk)[:, None, :, None] for blk in (a, b, c))
+    m2 = 2 * a.shape[0]
+    mat = (0.5 * a * _UU + b * _UBU + 0.5 * c * _UBUB).real.reshape(m2, m2)
+    return (mat + mat.T) / 2.0
 
 
 def classify_real_form(mat, tol=None):
@@ -118,8 +163,15 @@ def classify_real_form(mat, tol=None):
     return label, margin, scale
 
 
-def _check_symmetric(mat, name):
+def _finite(mat, name):
     mat = np.asarray(mat, dtype=complex)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name} has non-finite entries")
+    return mat
+
+
+def _check_symmetric(mat, name):
+    mat = _finite(mat, name)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
     scale = np.max(np.abs(mat)) + 1.0
@@ -139,7 +191,7 @@ class ComplexQuadraticForm:
     def __post_init__(self):
         self.qxx = _check_symmetric(self.qxx, "qxx")
         self.qxbxb = _check_symmetric(self.qxbxb, "qxbxb")
-        self.qxbx = np.asarray(self.qxbx, dtype=complex)
+        self.qxbx = _finite(self.qxbx, "qxbx")
         n = self.qxx.shape[0]
         if self.qxbx.shape != (n, n) or self.qxbxb.shape != (n, n):
             raise ValueError("block dimensions disagree")
@@ -186,8 +238,7 @@ class ComplexQuadraticForm:
 
 def real_part_matrix(form: ComplexQuadraticForm) -> np.ndarray:
     """Re(form) as a real symmetric 2n x 2n matrix in interleaved coordinates."""
-    m = 2 * form.n
-    return quadratic_matrix(lambda t: form.value(uninterleave(t)).real, m)
+    return realify(form.qxx, form.qxbx, form.qxbxb)
 
 
 @dataclass
@@ -198,7 +249,7 @@ class Weight:
     p: np.ndarray
 
     def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=complex)
+        self.h = _finite(self.h, "h")
         n = self.h.shape[0]
         if self.h.shape != (n, n):
             raise ValueError("h must be square")
@@ -330,10 +381,7 @@ def check_admissible(weight: Weight, q: ComplexQuadraticForm, tol=None) -> Admis
         tol = classification_tolerance()
     if weight.n != q.n:
         raise ValueError("dimension mismatch between weight and form")
-    herm_form = ComplexQuadraticForm(
-        np.zeros_like(weight.h), weight.h.copy(), np.zeros_like(weight.h)
-    )
-    gap = real_part_matrix(herm_form - q)
+    gap = realify(-q.qxx, weight.h - q.qxbx, -q.qxbxb)
     eigs = np.linalg.eigvalsh(gap)
     scale = float(np.max(np.abs(eigs))) if np.max(np.abs(eigs)) > 0 else 1.0
     herm_margin = float(eigs[0])

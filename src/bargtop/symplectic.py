@@ -110,12 +110,6 @@ class LinearCanonicalMap:
             return PhasePoint.from_vec(self.k @ rho.vec)
         return self.k @ np.asarray(rho, dtype=complex)
 
-    def compose(self, other: "LinearCanonicalMap") -> "LinearCanonicalMap":
-        return LinearCanonicalMap(self.k @ other.k)
-
-    def inverse(self) -> "LinearCanonicalMap":
-        return LinearCanonicalMap(np.linalg.inv(self.k))
-
 
 @dataclass
 class AntilinearInvolution:

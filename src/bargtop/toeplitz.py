@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +36,10 @@ from .symplectic import (
     positivity_certificate,
 )
 
+if TYPE_CHECKING:
+    from .bergman import BergmanForm
+    from .weyl import WeylSymbol
+
 __all__ = [
     "ToeplitzProblem",
     "VerdictClass",
@@ -55,16 +60,24 @@ AGREEMENT_BAND = 1e-8
 class ToeplitzProblem:
     """A weight together with a quadratic symbol exponent.
 
-    Admissibility is checked once at construction and cached; operations
-    that require it call :meth:`require_admissible`.
+    ``tol`` is the relative tolerance of every definiteness decision on
+    the problem, admissibility included; it defaults to
+    :func:`classification_tolerance` at construction.  Admissibility is
+    checked once at construction and cached (``admissibility`` passes in
+    a check already made for the same H and q); operations that require
+    it call :meth:`require_admissible`.
     """
 
-    def __init__(self, weight: Weight, q: ComplexQuadraticForm):
+    def __init__(self, weight: Weight, q: ComplexQuadraticForm, tol=None,
+                 admissibility: Admissibility | None = None):
         if weight.n != q.n:
             raise ValueError("weight and symbol dimensions disagree")
         self.weight = weight
         self.q = q
-        self.admissibility: Admissibility = check_admissible(weight, q)
+        self.tol = classification_tolerance() if tol is None else tol
+        if admissibility is None:
+            admissibility = check_admissible(weight, q, self.tol)
+        self.admissibility: Admissibility = admissibility
 
     @property
     def n(self) -> int:
@@ -75,9 +88,13 @@ class ToeplitzProblem:
             raise InadmissibleProblem("; ".join(self.admissibility.failures))
 
     def reduced(self) -> "ToeplitzProblem":
-        """The unitarily equivalent problem with pluriharmonic part removed."""
+        """The unitarily equivalent problem with pluriharmonic part removed.
+
+        Admissibility depends only on the Levi form and q, so the check
+        made for this problem carries over.
+        """
         herm, _ = split_herm_plh(self.weight)
-        return ToeplitzProblem(herm, self.q)
+        return ToeplitzProblem(herm, self.q, self.tol, self.admissibility)
 
 
 class VerdictClass(enum.Enum):
@@ -106,7 +123,12 @@ class SubVerdict:
 @dataclass
 class Verdict:
     """Operator-level verdict.  The positivity certificate is the verdict
-    of record; the other routes are witnesses and must not conflict."""
+    of record; the other routes are witnesses and must not conflict.
+
+    ``kappa`` is the canonical map of the problem as given, ``symbol``
+    its Weyl symbol and ``bergman_form`` the coherent-state exponent of
+    the reduced problem: the quantities the witnesses were computed from.
+    """
 
     verdict: VerdictClass
     margin: float
@@ -114,6 +136,9 @@ class Verdict:
     witnesses: dict = field(default_factory=dict)
     certificate: PositivityCertificate | None = None
     admissibility: Admissibility | None = None
+    kappa: LinearCanonicalMap | None = None
+    symbol: WeylSymbol | None = None
+    bergman_form: BergmanForm | None = None
 
 
 def build_phase(problem: ToeplitzProblem) -> QuadraticPhase:
@@ -149,17 +174,26 @@ def canonical_map(problem: ToeplitzProblem) -> LinearCanonicalMap:
     return canonical_from_phase(build_phase(problem))
 
 
-def reduce_and_factor(problem: ToeplitzProblem):
+def reduce_and_factor(
+    problem: ToeplitzProblem,
+    reduced: ToeplitzProblem | None = None,
+    k_full: LinearCanonicalMap | None = None,
+):
     """Remove the pluriharmonic part and verify the shear factorization.
 
     Returns ``(kappa_herm, residual)`` where ``kappa_herm`` is the
     canonical map of the reduced problem and ``residual`` measures
-    ``K - S^{-1} K_herm S`` for the pluriharmonic shear S.
+    ``K - S^{-1} K_herm S`` for the pluriharmonic shear S.  A caller that
+    already holds ``problem.reduced()`` or ``K = canonical_map(problem)``
+    passes them in so neither is built twice.
     """
     problem.require_admissible()
-    k_full = canonical_map(problem)
+    if reduced is None:
+        reduced = problem.reduced()
+    if k_full is None:
+        k_full = canonical_map(problem)
     _, a_matrix = split_herm_plh(problem.weight)
-    k_herm = canonical_map(problem.reduced())
+    k_herm = canonical_map(reduced)
     shear = pluriharmonic_shear(a_matrix)
     recomposed = np.linalg.inv(shear.k) @ k_herm.k @ shear.k
     residual = float(
@@ -177,7 +211,7 @@ def _certificate_subverdict(cert: PositivityCertificate) -> SubVerdict:
     return SubVerdict("certificate", label_map[cert.classification], cert.margin, cert.scale)
 
 
-def classify_operator(problem: ToeplitzProblem, tol=None) -> Verdict:
+def classify_operator(problem: ToeplitzProblem) -> Verdict:
     """Classify the operator as unbounded, bounded, or compact.
 
     The verdict of record comes from the positivity certificate of the
@@ -185,12 +219,11 @@ def classify_operator(problem: ToeplitzProblem, tol=None) -> Verdict:
     witnesses (and the closed-form verdict when the problem belongs to
     the radial model family) are attached; if two confident witnesses
     disagree a :class:`DisagreementError` is raised, never a silently
-    merged verdict.
+    merged verdict.  Every definiteness decision uses ``problem.tol``.
     """
     from . import bergman, model, weyl
 
-    if tol is None:
-        tol = classification_tolerance()
+    tol = problem.tol
     if not problem.admissibility.ok:
         return Verdict(
             VerdictClass.INADMISSIBLE,
@@ -200,7 +233,8 @@ def classify_operator(problem: ToeplitzProblem, tol=None) -> Verdict:
         )
 
     reduced = problem.reduced()
-    k_herm, _ = reduce_and_factor(problem)
+    kappa = canonical_map(problem)
+    k_herm, _ = reduce_and_factor(problem, reduced, kappa)
     iota = involution_for_weight(reduced.weight)
     cert = positivity_certificate(k_herm, iota, tol)
     witnesses = {"certificate": _certificate_subverdict(cert)}
@@ -233,4 +267,7 @@ def classify_operator(problem: ToeplitzProblem, tol=None) -> Verdict:
         witnesses=witnesses,
         certificate=cert,
         admissibility=problem.admissibility,
+        kappa=kappa,
+        symbol=symbol,
+        bergman_form=f,
     )

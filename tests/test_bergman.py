@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bargtop.bergman import (
     BergmanForm,
+    _growth_gap_matrix,
+    _growth_quadratic_matrix,
     bergman_exponent,
     coherent_bound_criterion,
     coherent_overlap,
     critical_system,
     growth_exponent,
 )
-from bargtop.forms import ComplexQuadraticForm, Weight, polarize
+from bargtop.forms import ComplexQuadraticForm, Weight, polarize, quadratic_matrix, uninterleave
 from bargtop.model import ModelInstance, model_problem
 from bargtop.toeplitz import ToeplitzProblem, classify_operator
 from bargtop.verify import random_admissible_problem, random_weight
@@ -201,3 +204,42 @@ class TestCriterion:
             all_nonpositive = all(v <= 1e-9 for v in sampled)
             if abs(res.margin) > 1e-8 * max(res.scale, 1.0):
                 assert res.ok == all_nonpositive
+
+
+class TestClosedFormRealification:
+    """The growth matrices against evaluation of the functions they realify."""
+
+    @staticmethod
+    def draw(n, seed, pluriharmonic):
+        rng = np.random.default_rng(seed)
+        f = BergmanForm(cpx(rng, n, n), cpx(rng, n, n), cpx(rng, n, n))
+        f.fxx, f.fzz = (f.fxx + f.fxx.T) / 2.0, (f.fzz + f.fzz.T) / 2.0
+        return f, random_weight(rng, n, pluriharmonic)
+
+    @staticmethod
+    def rel_err(got, ref):
+        return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans())
+    def test_gap_matrix(self, n, seed, pluriharmonic):
+        f, w = self.draw(n, seed, pluriharmonic)
+
+        def gap(t):
+            x, v = uninterleave(t[: 2 * n]), uninterleave(t[2 * n:])
+            return w.value(x) + w.value(v) - 2.0 * f.value(x, np.conj(v)).real
+
+        ref = quadratic_matrix(gap, 4 * n)
+        assert self.rel_err(_growth_gap_matrix(f, w), ref) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans())
+    def test_growth_quadratic_part(self, n, seed, pluriharmonic):
+        f, w = self.draw(n, seed, pluriharmonic)
+
+        def quad_part(t):
+            x = uninterleave(t)
+            return 2.0 * (x @ f.fxx @ x).real - 2.0 * w.value(x)
+
+        ref = quadratic_matrix(quad_part, 2 * n)
+        assert self.rel_err(_growth_quadratic_matrix(f, w), ref) <= 1e-12

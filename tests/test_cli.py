@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import yaml
 
+import bargtop.cli as cli
 from bargtop.cli import main, load_problem
 from bargtop.errors import ProblemFileError
 
@@ -51,6 +53,85 @@ class TestProblemFiles:
         with pytest.raises(ProblemFileError, match="n:"):
             load_problem(str(path))
 
+    def test_boolean_n_rejected(self, tmp_path, capsys):
+        # YAML reads `true` as a bool, which Python counts as the int 1
+        path = tmp_path / "bad.yaml"
+        path.write_text("n: true\nphi0:\n  hermitian: [[[0.25, 0.0]]]\n")
+        with pytest.raises(ProblemFileError, match="n:"):
+            load_problem(str(path))
+        assert main(["classify", str(path)]) == 2
+
+    def test_not_utf8_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"n: 1\nphi0: \xff\n")
+        with pytest.raises(ProblemFileError, match="not valid YAML"):
+            load_problem(str(path))
+        assert main(["classify", str(path)]) == 2
+
+    @pytest.mark.parametrize("entry", ["[[[.nan, 0.0]]]", "[[[0.1, .inf]]]"])
+    def test_non_finite_entry_rejected(self, tmp_path, capsys, entry):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"n: 1\nphi0:\n  hermitian: [[[0.25, 0.0]]]\nq:\n  xbarx: {entry}\n")
+        with pytest.raises(ProblemFileError, match="non-finite"):
+            load_problem(str(path))
+        assert main(["classify", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_c_and_python_loaders_agree(self, tmp_path, monkeypatch):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("this PyYAML build has no libyaml")
+        path = write_model_file(
+            tmp_path / "p.yaml", complex(-0.3, 0.1), a=0.02,
+            extra="tolerances:\n  classification: 1.0e-7\n",
+        )
+        loaded = []
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+            loaded.append(load_problem(path))
+        c, py = loaded
+        for block in ("h", "p"):
+            assert np.array_equal(getattr(c.weight, block), getattr(py.weight, block))
+        for block in ("qxx", "qxbx", "qxbxb"):
+            assert np.array_equal(getattr(c.q, block), getattr(py.q, block))
+        assert c.tol == py.tol == 1e-7
+
+
+class TestTolerances:
+    # lam = 0, ||A|| = 0.24: Phi_herm - Re q has eigenvalues 0.01 and 0.49,
+    # an admissibility margin of 0.02 relative to its scale
+    def test_file_tolerance_governs_admissibility(self, tmp_path, capsys):
+        path = write_model_file(tmp_path / "p.yaml", complex(0.0), a=0.24)
+        assert main(["classify", path]) == 0
+        capsys.readouterr()
+        path = write_model_file(tmp_path / "q.yaml", complex(0.0), a=0.24,
+                                extra="tolerances:\n  classification: 0.05\n")
+        assert main(["classify", path]) == 2
+        assert "nonnegative direction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        "tolerances: 5\n",
+        "tolerances: [1.0e-9]\n",
+        "tolerances:\n  classification: -1.0\n",
+        "tolerances:\n  classification: .nan\n",
+        "tolerances:\n  classification: .inf\n",
+        "tolerances:\n  classification: abc\n",
+        "tolerances:\n  classification: true\n",
+    ])
+    def test_bad_file_tolerance_exits_two(self, tmp_path, capsys, extra):
+        path = write_model_file(tmp_path / "p.yaml", complex(-0.5), extra=extra)
+        with pytest.raises(ProblemFileError, match="tolerances"):
+            load_problem(path)
+        assert main(["classify", path]) == 2
+        assert "tolerances" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "inf", "nan", ""])
+    def test_bad_env_tolerance_exits_two(self, tmp_path, capsys, monkeypatch, value):
+        path = write_model_file(tmp_path / "p.yaml", complex(-0.5))
+        monkeypatch.setenv("TOEPLITZ_TOL", value)
+        assert main(["classify", path]) == 2
+        err = capsys.readouterr().err
+        assert "TOEPLITZ_TOL" in err and err.count("\n") == 1
+
 
 class TestClassifyCommand:
     def test_compact_model_exits_zero(self, tmp_path, capsys):
@@ -94,6 +175,34 @@ class TestClassifyCommand:
         first.pop("timing_seconds")
         second.pop("timing_seconds")
         assert first == second
+
+    def test_each_quantity_built_once(self, tmp_path, capsys, monkeypatch):
+        import bargtop.bergman as bergman
+        import bargtop.toeplitz as toeplitz
+        import bargtop.weyl as weyl
+
+        calls = {}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((toeplitz, "check_admissible"), (toeplitz, "canonical_from_phase"),
+                             (weyl, "weyl_symbol"), (bergman, "critical_system")):
+            count(module, name)
+        path = write_model_file(tmp_path / "p.yaml", complex(-0.3, 0.1), a=0.02)
+        assert main(["classify", path]) == 0
+        # K and K_herm are the two canonical maps; the report reuses them
+        assert calls == {"check_admissible": 1, "canonical_from_phase": 2,
+                         "weyl_symbol": 1, "critical_system": 1}
+        report = json.loads(capsys.readouterr().out)
+        assert np.array_equal(np.array(report["kappa"]).view(complex)[..., 0],
+                              toeplitz.canonical_map(load_problem(path)).k)
 
     def test_disagreement_exits_three(self, tmp_path, capsys, monkeypatch):
         import bargtop.cli as cli
@@ -155,6 +264,16 @@ class TestScanCommand:
                      "--norm-a", "0.2:0.2:1", "-o", str(out)]) == 0
         row = out.read_text().strip().splitlines()[1]
         assert "inadmissible" in row and "nan" in row
+
+    def test_admissibility_edge(self, tmp_path, capsys):
+        # at Re lam + ||A|| = 1/4 the closed-form condition and the
+        # pipeline's check meet; the pipeline decides
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--lambda-re=0.2:0.24:3", "--norm-a", "0:0.01:3",
+                     "-o", str(out)]) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert len(rows) == 9
+        assert rows[-1] == "0.24,0.0,0.01,inadmissible,nan"
 
     def test_invalid_grid_rejected(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bargtop.forms import (
     ComplexQuadraticForm,
@@ -210,3 +211,29 @@ class TestRealForm:
 
         got = quadratic_matrix(fn, 3)
         assert np.allclose(got, a, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+    def test_closed_form_matches_quadratic_matrix(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        q = scale * ComplexQuadraticForm(
+            _sym(rng, n),
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+            _sym(rng, n),
+        )
+        ref = quadratic_matrix(lambda t: q.value(uninterleave(t)).real, 2 * n)
+        got = real_part_matrix(q)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(got, got.T)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block", ["h", "p", "qxx", "qxbx", "qxbxb"])
+    def test_rejected(self, bad, block):
+        mats = {k: np.zeros((2, 2), dtype=complex) for k in ("p", "qxx", "qxbx", "qxbxb")}
+        mats["h"] = np.eye(2) / 4.0
+        mats[block][1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Weight(mats["h"], mats["p"])
+            ComplexQuadraticForm(mats["qxx"], mats["qxbx"], mats["qxbxb"])

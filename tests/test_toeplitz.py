@@ -166,6 +166,14 @@ class TestClassify:
         v = classify_operator(problem)
         assert "model" not in v.witnesses
 
+    def test_reduced_keeps_admissibility_and_tolerance(self):
+        problem = random_admissible_problem(np.random.default_rng(12), 2, pluriharmonic=True)
+        problem = ToeplitzProblem(problem.weight, problem.q, tol=1e-6)
+        reduced = problem.reduced()
+        assert reduced.weight.is_hermitian
+        assert reduced.admissibility is problem.admissibility
+        assert reduced.tol == 1e-6
+
     def test_confidence_floor(self):
         noise = SubVerdict("weyl", VerdictClass.UNBOUNDED, -1e-16, 1e-16)
         assert not noise.confident
