@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import yaml
 
-from .errors import InadmissibleProblem, NumericalFailure, ProblemFileError
+from .errors import InadmissibleProblem, NumericalFailure, OracleRefusal, ProblemFileError
 from .forms import ComplexQuadraticForm, Weight, classification_tolerance, parse_tolerance
 from .toeplitz import ToeplitzProblem, Verdict, VerdictClass, classify_operator
 from . import bergman, model, oracle, verify, weyl
@@ -40,12 +40,27 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # ---------------------------------------------------------------------------
 # problem file IO
 
+def _numeric_string(value) -> bool:
+    try:
+        return isinstance(value, str) and math.isfinite(float(value))
+    except ValueError:
+        return False
+
+
 def _complex_entry(value, where: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
+        # YAML 1.1 reads 1e-3 and 1.0e300 as strings: say so
+        for v in value if isinstance(value, (list, tuple)) else ():
+            if _numeric_string(v):
+                raise ProblemFileError(
+                    f"{where}: {v!r} is read as a string, not a number; YAML 1.1 "
+                    f"floats need a '.' in the mantissa and a signed exponent "
+                    f"(write -5.0e-1, 1.0e+300)"
+                )
         raise ProblemFileError(f"{where}: complex entries must be [re, im] number pairs")
     return complex(float(value[0]), float(value[1]))
 
@@ -286,13 +301,29 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # oracle experiments
 
+def _parse_sizes(text: str) -> list:
+    try:
+        sizes = [int(v) for v in text.split(",")]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        raise ValueError(
+            f"-N/--sizes: expected a comma-separated list of positive integers, got {text!r}"
+        )
+    return sizes
+
+
 def _cmd_oracle(args) -> int:
+    try:
+        sizes = _parse_sizes(args.sizes)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
     try:
         problem = load_problem(args.file)
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    sizes = [int(v) for v in args.sizes.split(",")]
     try:
         problem.require_admissible()
         out = {"experiment": args.experiment}
@@ -341,6 +372,9 @@ def _cmd_oracle(args) -> int:
         return EXIT_OK
     except InadmissibleProblem as exc:
         print(f"inadmissible: {exc}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
+    except OracleRefusal as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

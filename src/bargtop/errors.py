@@ -40,5 +40,18 @@ class DisagreementError(NumericalFailure):
     different verdicts.  Always an implementation or input bug."""
 
 
+class ConstructionResidual(NumericalFailure, ValueError):
+    """A symplectic map or antilinear involution misses its defining
+    identity by more than the construction tolerance.  Built from a
+    well-posed input this is round-off, e.g. a Levi form far from unit
+    scale; it is also a ValueError for a matrix passed in directly."""
+
+
+class OracleRefusal(ValueError):
+    """The brute-force oracle does not handle this problem: n > 2, a
+    pluriharmonic part, or a non-diagonal Levi form.  Maps to CLI exit
+    code 2."""
+
+
 class ProblemFileError(Exception):
     """A problem file could not be parsed; the message names the field."""

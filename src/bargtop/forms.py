@@ -40,6 +40,7 @@ __all__ = [
     "interleave",
     "uninterleave",
     "quadratic_matrix",
+    "form_matrix",
     "realify",
     "real_part_matrix",
     "classify_real_form",
@@ -97,7 +98,7 @@ def quadratic_matrix(fn, m):
     must be a quadratic form; the matrix is recovered from evaluations on
     basis vectors and pair sums, so no block algebra can go wrong.  It
     costs O(m^2) Python evaluations: the tests use it as the reference for
-    :func:`realify`, which the pipeline calls instead.
+    :func:`form_matrix` and :func:`realify`, which the package calls instead.
     """
     eye = np.eye(m)
     diag = np.array([fn(eye[a]) for a in range(m)])
@@ -123,18 +124,24 @@ _UBU = np.outer(_U.conj(), _U)[:, None, :]
 _UBUB = np.outer(_U.conj(), _U.conj())[:, None, :]
 
 
-def realify(a, b, c) -> np.ndarray:
-    """Real symmetric matrix of t -> Re((1/2) x.A x + xbar.B x + (1/2) xbar.C xbar)
+def form_matrix(a, b, c) -> np.ndarray:
+    """Complex symmetric matrix of t -> (1/2) x.A x + xbar.B x + (1/2) xbar.C xbar
     with x = uninterleave(t).
 
     With x = E t, E = [I, iI] column-interleaved, the matrix is
-    Re sym(E^T A E / 2 + conj(E)^T B E + conj(E)^T C conj(E) / 2); the
+    sym(E^T A E / 2 + conj(E)^T B E + conj(E)^T C conj(E) / 2); the
     blocks need not be symmetric.
     """
     a, b, c = (np.asarray(blk)[:, None, :, None] for blk in (a, b, c))
     m2 = 2 * a.shape[0]
-    mat = (0.5 * a * _UU + b * _UBU + 0.5 * c * _UBUB).real.reshape(m2, m2)
+    mat = (0.5 * a * _UU + b * _UBU + 0.5 * c * _UBUB).reshape(m2, m2)
     return (mat + mat.T) / 2.0
+
+
+def realify(a, b, c) -> np.ndarray:
+    """Real symmetric matrix of t -> Re((1/2) x.A x + xbar.B x + (1/2) xbar.C xbar)
+    with x = uninterleave(t): the real part of :func:`form_matrix`."""
+    return np.ascontiguousarray(form_matrix(a, b, c).real)
 
 
 def classify_real_form(mat, tol=None):

@@ -12,6 +12,13 @@ which polynomial integrands are integrated exactly, with no cancellation.
 A rule matched only to |e^{-t.Gt}| leaves an oscillatory factor whose
 cancellation (condition number up to ~1e14 at basis size 40) destroys the
 relative accuracy of the small matrix entries; the scaled rule does not.
+
+A Galerkin entry integrates a product of two basis monomials, a polynomial
+of total degree at most 2 d for basis degree d, so order d + 1 is already
+exact and is the default.  The Weyl convolution and the coherent-state
+kernel are not polynomial; their orders are fixed empirically.  Nodes and
+weights come from ``scipy.special.roots_hermite`` (Golub-Welsch with a
+Newton step, an asymptotic expansion from order 150).
 """
 
 from __future__ import annotations
@@ -22,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_hermite
 
-from .errors import NotAbsolutelyConvergent, QuadratureDivergence
-from .forms import ComplexQuadraticForm, Weight, quadratic_matrix
+from .errors import NotAbsolutelyConvergent, OracleRefusal, QuadratureDivergence
+from .forms import ComplexQuadraticForm, Weight, form_matrix, real_part_matrix
 from .toeplitz import ToeplitzProblem
 
 __all__ = [
@@ -39,9 +46,6 @@ __all__ = [
     "numeric_weyl",
     "numeric_coherent_norm",
 ]
-
-_DEFAULT_ORDER = {1: 80, 2: 40}
-
 
 @dataclass
 class QuadratureSpec:
@@ -74,13 +78,26 @@ def _block_complex(t):
     return t[:n] + 1j * t[n:]
 
 
+def _block_order(mat: np.ndarray) -> np.ndarray:
+    """A matrix in interleaved coordinates (u_1, v_1, u_2, ...) rewritten in
+    the oracle's block coordinates (u_1..u_n, v_1..v_n)."""
+    m = mat.shape[0]
+    perm = np.r_[0:m:2, 1:m:2]
+    return mat[np.ix_(perm, perm)]
+
+
+def _require_small(problem: ToeplitzProblem) -> None:
+    if problem.n > 2:
+        raise OracleRefusal("oracle supports n <= 2")
+
+
 def _require_oracle_weight(weight: Weight) -> np.ndarray:
     if not weight.is_hermitian:
-        raise ValueError("oracle requires a weight without pluriharmonic part")
+        raise OracleRefusal("oracle requires a weight without pluriharmonic part")
     h = weight.h
     off = h - np.diag(np.diag(h))
     if np.max(np.abs(off)) > 1e-13 * (np.max(np.abs(h)) + 1.0):
-        raise ValueError(
+        raise OracleRefusal(
             "oracle requires a diagonal Levi form; rotate coordinates unitarily first"
         )
     return np.real(np.diag(h))
@@ -111,14 +128,20 @@ def _log_monomial_norms_sq(hdiag, indices):
 
 
 def _monomials(points, indices, log_norms_sq):
-    """Rows of normalized monomials evaluated at complex points (pts, n)."""
-    out = np.empty((len(indices), points.shape[0]), dtype=complex)
-    for j, alpha in enumerate(indices):
-        vals = np.ones(points.shape[0], dtype=complex)
-        for i, a in enumerate(alpha):
-            if a:
-                vals = vals * points[:, i] ** a
-        out[j] = vals * math.exp(-0.5 * log_norms_sq[j])
+    """Rows of normalized monomials evaluated at complex points (pts, n).
+
+    Each variable's powers come from one multiply per degree; a row is the
+    product of its variables' powers."""
+    alphas = np.asarray(indices)
+    out = np.exp(-0.5 * np.asarray(log_norms_sq))[:, None]
+    for i, top in enumerate(alphas.max(axis=0)):
+        powers = np.empty((top + 1, points.shape[0]), dtype=complex)
+        powers[0] = 1.0
+        for d in range(1, top + 1):
+            np.multiply(powers[d - 1], points[:, i], out=powers[d])
+        picked = powers[alphas[:, i]]
+        picked *= out
+        out = picked
     return out
 
 
@@ -127,15 +150,14 @@ def _monomials(points, indices, log_norms_sq):
 
 def _gaussian_exponent_matrix(problem: ToeplitzProblem) -> np.ndarray:
     """Complex symmetric matrix G with t.Gt = 2 Phi(x) - q(x) in block
-    coordinates; its real part is positive definite exactly when the
-    problem is admissible."""
+    coordinates.  For a weight without pluriharmonic part its real part is
+    positive definite exactly when the problem is admissible; a
+    pluriharmonic part can make it indefinite, which is refused."""
     weight, q = problem.weight, problem.q
-
-    def fn(t):
-        x = _block_complex(t)
-        return 2.0 * weight.value(x) - q.value(x)
-
-    g = quadratic_matrix(fn, 2 * problem.n)
+    # 2 Phi has blocks (2P, 2H, 2 conj(P)) in the convention of forms
+    g = _block_order(form_matrix(
+        2.0 * weight.p - q.qxx, 2.0 * weight.h - q.qxbx, 2.0 * np.conj(weight.p) - q.qxbxb
+    ))
     re_eigs = np.linalg.eigvalsh(np.real(g))
     if re_eigs[0] <= 0.0:
         raise QuadratureDivergence(
@@ -153,7 +175,7 @@ def _scaled_rule(gmat: np.ndarray, order: int):
     sqrtg = scipy.linalg.sqrtm(gmat.astype(complex))
     minv = np.linalg.inv(sqrtg)
     detm = 1.0 / np.linalg.det(sqrtg)
-    s, w = np.polynomial.hermite.hermgauss(order)
+    s, w = roots_hermite(order)
     return minv, complex(detm), s, w
 
 
@@ -218,14 +240,15 @@ def truncated_matrix(problem: ToeplitzProblem, size: int, order: int | None = No
 
     Rotation invariance makes the matrix exactly diagonal for radial q at
     n = 1, and those entries are computed by an exact 1d moment rule.
+    The default ``order`` is the basis degree plus one, the least order at
+    which the Gauss rule is exact for every entry.
     """
     problem.require_admissible()
-    if problem.n > 2:
-        raise ValueError("oracle supports n <= 2")
+    _require_small(problem)
     hdiag = _require_oracle_weight(problem.weight)
-    if order is None:
-        order = max(_DEFAULT_ORDER[problem.n], 2 * size)
     indices = monomial_indices(problem.n, size)
+    if order is None:
+        order = max(sum(alpha) for alpha in indices) + 1
 
     if _is_radial(problem):
         order_radial = max(order, size + 10)
@@ -294,9 +317,9 @@ def singular_decay(problem: ToeplitzProblem, size: int) -> DecayEstimate:
 def _q_values(q: ComplexQuadraticForm, xs: np.ndarray) -> np.ndarray:
     xb = np.conj(xs)
     return (
-        0.5 * np.einsum("pi,ij,pj->p", xs, q.qxx, xs)
-        + np.einsum("pi,ij,pj->p", xb, q.qxbx, xs)
-        + 0.5 * np.einsum("pi,ij,pj->p", xb, q.qxbxb, xb)
+        0.5 * ((xs @ q.qxx.T) * xs).sum(axis=1)
+        + ((xs @ q.qxbx.T) * xb).sum(axis=1)
+        + 0.5 * ((xb @ q.qxbxb.T) * xb).sum(axis=1)
     )
 
 
@@ -308,6 +331,7 @@ def numeric_weyl(problem: ToeplitzProblem, x, order: int | None = None) -> compl
     is still checked and reported.
     """
     problem.require_admissible()
+    _require_small(problem)
     n = problem.n
     if order is None:
         order = 150 if n == 1 else 40
@@ -317,7 +341,7 @@ def numeric_weyl(problem: ToeplitzProblem, x, order: int | None = None) -> compl
     cr, ci = c.real, c.imag
     bmat = 0.5 * np.block([[cr, -ci], [ci, cr]])  # block (u; v) convention
 
-    qre = quadratic_matrix(lambda t: problem.q.value(_block_complex(t)).real, 2 * n)
+    qre = _block_order(real_part_matrix(problem.q))
     shifted = qre - 0.5 * np.linalg.inv(bmat)
     if np.linalg.eigvalsh(shifted)[-1] >= 0.0:
         raise NotAbsolutelyConvergent(
@@ -325,7 +349,7 @@ def numeric_weyl(problem: ToeplitzProblem, x, order: int | None = None) -> compl
         )
 
     lmat = np.linalg.cholesky(bmat)
-    s, w = np.polynomial.hermite.hermgauss(order)
+    s, w = roots_hermite(order)
     total = 0.0 + 0.0j
     for pts, wts in _tensor_chunks(s, w, 2 * n):
         wv = math.sqrt(2.0) * pts @ lmat.T
@@ -341,6 +365,7 @@ def _coherent_coefficients(problem: ToeplitzProblem, w, nbasis: int, order: int)
     """Basis coefficients <e^q k_w, e_j> for the normalized coherent state
     k_w; their square sum is the squared norm of the operator image."""
     problem.require_admissible()
+    _require_small(problem)
     hdiag = _require_oracle_weight(problem.weight)
     n = problem.n
     w = np.atleast_1d(np.asarray(w, dtype=complex))

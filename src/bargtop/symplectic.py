@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePhase, NumericalFailure
+from .errors import ConstructionResidual, DegeneratePhase, NumericalFailure
 from .forms import Weight, classify_real_form, interleave
 
 __all__ = [
@@ -93,7 +93,7 @@ class LinearCanonicalMap:
         self.k = np.asarray(self.k, dtype=complex)
         res = self.symplectic_residual()
         if res > _CONSTRUCTION_TOL:
-            raise ValueError(f"matrix is not symplectic (residual {res:.3e})")
+            raise ConstructionResidual(f"matrix is not symplectic (residual {res:.3e})")
 
     @property
     def n(self) -> int:
@@ -121,7 +121,9 @@ class AntilinearInvolution:
         self.m = np.asarray(self.m, dtype=complex)
         res = self.involution_residual()
         if res > _CONSTRUCTION_TOL:
-            raise ValueError(f"matrix does not define an involution (residual {res:.3e})")
+            raise ConstructionResidual(
+                f"matrix does not define an involution (residual {res:.3e})"
+            )
 
     @property
     def n(self) -> int:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -46,6 +47,17 @@ class TestProblemFiles:
         path.write_text('n: 1\nphi0:\n  hermitian: [[["0.25", 0.0]]]\n')
         with pytest.raises(ProblemFileError, match=r"phi0\.hermitian"):
             load_problem(str(path))
+
+    @pytest.mark.parametrize("text", ["-5e-1", "1.0e300"])
+    def test_yaml_string_number_explained(self, tmp_path, capsys, text):
+        # YAML 1.1 reads these as strings; the message says so and how to fix it
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"n: 1\nphi0:\n  hermitian: [[[0.25, 0.0]]]\nq:\n  xbarx: [[[{text}, 0.0]]]\n")
+        with pytest.raises(ProblemFileError, match=r"q\.xbarx\[0\]\[0\]: '.*' is read as a string"):
+            load_problem(str(path))
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'.' in the mantissa" in err
 
     def test_missing_n(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -216,6 +228,18 @@ class TestClassifyCommand:
         assert main(["classify", path]) == 3
         assert "forced conflict" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("phi0,q", [
+        ("hermitian: [[[1.0e-30, 0.0]]]", ""),
+        ("hermitian: [[[1.0e+300, 0.0]]]", "q:\n  xbarx: [[[-1.0e+300, 0.0]]]\n"),
+    ])
+    def test_levi_form_far_from_unit_scale_exits_three(self, tmp_path, capsys, phi0, q):
+        # the involution's construction residual is round-off at this scale
+        path = tmp_path / "p.yaml"
+        path.write_text(f"n: 1\nphi0:\n  {phi0}\n{q}")
+        assert main(["classify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+
     def test_tolerance_override_via_env(self, tmp_path, capsys, monkeypatch):
         # a wide band turns a mildly definite certificate into a boundary call:
         # lam = -0.05 has margin/scale ~ 0.3 on the certificate eigenvalues
@@ -324,3 +348,43 @@ class TestOracleCommand:
     def test_inadmissible_exits_two(self, tmp_path, capsys):
         path = write_model_file(tmp_path / "p.yaml", complex(0.3))
         assert main(["oracle", path, "--experiment", "trend"]) == 2
+
+    def test_n2_trend_at_default_sizes(self, tmp_path, capsys):
+        # the Galerkin order follows the basis degree, so N = 40 at n = 2
+        # needs a 9-point rule per real variable
+        path = tmp_path / "p.yaml"
+        path.write_text(
+            "n: 2\nphi0:\n  hermitian: [[[0.25, 0], [0, 0]], [[0, 0], [0.2, 0]]]\n"
+            "q:\n  xx: [[[0.05, 0.02], [0.01, 0]], [[0.01, 0], [-0.03, 0.01]]]\n"
+            "  xbarx: [[[0.1, 0.05], [0.02, -0.01]], [[0.03, 0], [-0.2, 0.1]]]\n"
+        )
+        start = time.perf_counter()
+        assert main(["oracle", str(path), "--experiment", "trend"]) == 0
+        assert time.perf_counter() - start < 10.0
+        out = json.loads(capsys.readouterr().out)
+        assert out["sizes"] == [10, 20, 40]
+        assert all(b >= a for a, b in zip(out["norms"], out["norms"][1:]))
+
+    @pytest.mark.parametrize("case", [
+        "sizes abc", "sizes 0", "sizes -3", "sizes 10,,20",
+        "pluriharmonic", "non-diagonal", "n3 trend", "n3 weyl", "n3 coherent",
+    ])
+    def test_refusals_exit_two(self, tmp_path, capsys, case):
+        h1 = "[[[0.25, 0.0]]]"
+        h3 = "[[[0.25, 0], [0, 0], [0, 0]], [[0, 0], [0.25, 0], [0, 0]], [[0, 0], [0, 0], [0.25, 0]]]"
+        files = {
+            "pluriharmonic": f"n: 1\nphi0:\n  hermitian: {h1}\n  pluriharmonic: [[[0.05, 0.0]]]\n",
+            "non-diagonal": "n: 2\nphi0:\n  hermitian: [[[0.25, 0], [0.05, 0]], [[0.05, 0], [0.25, 0]]]\n",
+            "n3": f"n: 3\nphi0:\n  hermitian: {h3}\n",
+        }
+        kind, _, arg = case.partition(" ")
+        path = tmp_path / "p.yaml"
+        path.write_text(files.get(kind, f"n: 1\nphi0:\n  hermitian: {h1}\n"))
+        argv = ["oracle", str(path), "--experiment", "trend"]
+        if kind == "sizes":
+            argv += ["-N", arg]
+        elif kind == "n3":
+            argv[-1] = arg
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1

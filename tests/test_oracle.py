@@ -1,11 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
-from bargtop.errors import NotAbsolutelyConvergent
-from bargtop.forms import ComplexQuadraticForm, Weight
+from bargtop.errors import NotAbsolutelyConvergent, OracleRefusal, QuadratureDivergence
+from bargtop.forms import ComplexQuadraticForm, Weight, quadratic_matrix, real_part_matrix
 from bargtop.model import ModelInstance, model_problem
 from bargtop.oracle import (
+    _block_complex,
+    _block_order,
     _coherent_coefficients,
+    _gaussian_exponent_matrix,
+    _log_monomial_norms_sq,
+    _monomials,
     is_plateau,
     monomial_indices,
     norm_trend,
@@ -25,6 +34,26 @@ def scalar_problem(lam, a=0.0):
 
 def trivial_problem(n=1):
     return ToeplitzProblem(Weight.model(n), ComplexQuadraticForm.zero(n))
+
+
+def diagonal_levi_problem(rng, n):
+    """Random diagonal Levi form, no pluriharmonic part, and a general q at
+    0.2-0.9 of the admissibility limit."""
+    h = np.diag(rng.uniform(0.1, 0.5, n))
+    weight = Weight(h, np.zeros((n, n)))
+    herm = ComplexQuadraticForm(np.zeros((n, n)), h, np.zeros((n, n)))
+    while True:
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q = ComplexQuadraticForm(a + a.T, b, c + c.T)
+        lam_max = scipy.linalg.eigh(
+            real_part_matrix(q), real_part_matrix(herm), eigvals_only=True
+        )[-1]
+        scale = rng.uniform(0.2, 0.9) / lam_max if lam_max > 0 else 1.0
+        problem = ToeplitzProblem(weight, scale * q)
+        if problem.admissibility.ok:
+            return problem
 
 
 class TestTruncatedMatrix:
@@ -96,6 +125,80 @@ class TestTruncatedMatrix:
         w = Weight(np.array([[0.25]]), np.array([[0.05]]))
         with pytest.raises(ValueError, match="pluriharmonic"):
             truncated_matrix(ToeplitzProblem(w, ComplexQuadraticForm.zero(1)), 4)
+
+    @pytest.mark.parametrize("run", [
+        lambda p: truncated_matrix(p, 4),
+        lambda p: numeric_weyl(p, np.zeros(3)),
+        lambda p: numeric_coherent_norm(p, np.ones(3)),
+    ])
+    def test_refuses_n_above_two_before_quadrature(self, run):
+        with pytest.raises(OracleRefusal, match="n <= 2"):
+            run(trivial_problem(3))
+
+
+class TestExactOrder:
+    """The default Galerkin order is the basis degree plus one: the Gauss
+    rule is then exact for every entry, so doubling it changes nothing
+    beyond rounding."""
+
+    @pytest.mark.parametrize("n,size", [(1, 12), (1, 40), (2, 10), (2, 20), (2, 40)])
+    def test_doubling_the_order_changes_nothing(self, n, size):
+        rng = np.random.default_rng(100 * n + size)
+        for _ in range(3):
+            problem = diagonal_levi_problem(rng, n)
+            top = truncated_matrix(problem, size)
+            degree = max(sum(alpha) for alpha in monomial_indices(n, size))
+            assert top.spec.order == degree + 1
+            double = truncated_matrix(problem, size, order=2 * top.spec.order)
+            scale = np.max(np.abs(double.t))
+            assert np.max(np.abs(top.t - double.t)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n,size", [(1, 30), (2, 28)])
+    def test_recurrence_monomials_match_powers(self, n, size):
+        rng = np.random.default_rng(7)
+        points = 2.0 * (rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n)))
+        indices = monomial_indices(n, size)
+        log_norms = _log_monomial_norms_sq(rng.uniform(0.1, 0.5, n), indices)
+        ref = np.empty((size, points.shape[0]), dtype=complex)
+        for j, alpha in enumerate(indices):
+            vals = np.ones(points.shape[0], dtype=complex)
+            for i, a in enumerate(alpha):
+                vals = vals * points[:, i] ** a
+            ref[j] = vals * math.exp(-0.5 * log_norms[j])
+        got = _monomials(points, indices, log_norms)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+
+class TestClosedFormExponents:
+    """The oracle's exponent matrices in block coordinates, against the
+    evaluation-based reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2), st.integers(0, 2**32 - 1), st.booleans())
+    def test_gaussian_exponent_matrix(self, n, seed, pluriharmonic):
+        problem = random_admissible_problem(np.random.default_rng(seed), n, pluriharmonic)
+        weight, q = problem.weight, problem.q
+        ref = quadratic_matrix(
+            lambda t: 2.0 * weight.value(_block_complex(t)) - q.value(_block_complex(t)),
+            2 * n,
+        )
+        if np.linalg.eigvalsh(np.real(ref))[0] <= 0.0:
+            # a pluriharmonic part can make e^{-2 Phi + q} non-integrable
+            # on an admissible problem; the builder must refuse it
+            assert pluriharmonic
+            with pytest.raises(QuadratureDivergence):
+                _gaussian_exponent_matrix(problem)
+            return
+        got = _gaussian_exponent_matrix(problem)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2), st.integers(0, 2**32 - 1))
+    def test_weyl_real_exponent(self, n, seed):
+        q = random_admissible_problem(np.random.default_rng(seed), n).q
+        ref = quadratic_matrix(lambda t: q.value(_block_complex(t)).real, 2 * n)
+        got = _block_order(real_part_matrix(q))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestTrendAndDecay:
