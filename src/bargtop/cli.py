@@ -12,12 +12,17 @@ failure or verdict disagreement.
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import csv
+import functools
 import json
 import math
+import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import yaml
@@ -39,6 +44,73 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # ---------------------------------------------------------------------------
 # problem file IO
+
+_FLOAT_TAG = "tag:yaml.org,2002:float"
+_SEQ_TAG = "tag:yaml.org,2002:seq"
+_MAP_TAG = "tag:yaml.org,2002:map"
+# float-tagged text that float() reads exactly as the YAML constructor does:
+# no '_', no sexagesimal ':', no .inf/.nan
+_DECIMAL = re.compile(r"[-+]?(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+# problem files nest five deep; deeper nodes go to the loader's constructor,
+# which builds breadth-first and so needs no Python stack
+_WALK_DEPTH = 32
+_UNSET = object()
+
+
+def _construct(loader, node, depth=0):
+    """Build ``node`` as ``loader.construct_object`` would, in one walk.
+
+    Plain decimal floats go straight to ``float``; plain sequences and
+    mappings are built here, mappings after ``flatten_mapping`` so merge
+    keys and duplicate keys behave as in the loader. Everything else goes
+    to the loader's constructor. Results are memoized by node identity in
+    the loader's own table, so aliases (recursive ones too) resolve to one
+    object.
+    """
+    tag = node.tag
+    if tag == _FLOAT_TAG and node.id == "scalar" and _DECIMAL.fullmatch(node.value):
+        return float(node.value)
+    memo = loader.constructed_objects
+    data = memo.get(node, _UNSET)
+    if data is not _UNSET:
+        return data
+    if depth < _WALK_DEPTH:
+        if tag == _SEQ_TAG and node.id == "sequence":
+            data = memo[node] = []
+            data.extend([_construct(loader, child, depth + 1) for child in node.value])
+            return data
+        if tag == _MAP_TAG and node.id == "mapping":
+            data = memo[node] = {}
+            loader.flatten_mapping(node)
+            for key_node, value_node in node.value:
+                key = _construct(loader, key_node, depth + 1)
+                if not isinstance(key, collections.abc.Hashable):
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        "found unhashable key", key_node.start_mark)
+                data[key] = _construct(loader, value_node, depth + 1)
+            return data
+    return loader.construct_object(node)
+
+
+def _load_yaml(stream):
+    """``yaml.load(stream, Loader=_YAML_LOADER)``, built by one node walk."""
+    loader = _YAML_LOADER(stream)
+    try:
+        node = loader.get_single_node()
+        if node is None:
+            return None
+        data = _construct(loader, node)
+        # nodes handed to the loader's constructor may still be filling in
+        while loader.state_generators:
+            generators, loader.state_generators = loader.state_generators, []
+            for generator in generators:
+                for _ in generator:
+                    pass
+        return data
+    finally:
+        loader.dispose()
+
 
 def _numeric_string(value) -> bool:
     try:
@@ -62,10 +134,25 @@ def _complex_entry(value, where: str) -> complex:
                     f"(write -5.0e-1, 1.0e+300)"
                 )
         raise ProblemFileError(f"{where}: complex entries must be [re, im] number pairs")
-    return complex(float(value[0]), float(value[1]))
+    try:
+        return complex(float(value[0]), float(value[1]))
+    except OverflowError as exc:
+        raise ProblemFileError(f"{where}: integer too large for a float") from exc
 
 
 def _complex_matrix(rows, n: int, where: str) -> np.ndarray:
+    # one conversion when every entry is an [re, im] pair of numbers; the
+    # per-entry path below names the first entry that is not
+    if isinstance(rows, list) and len(rows) == n and all(
+            isinstance(row, list) and len(row) == n for row in rows):
+        entries = [entry for row in rows for entry in row]
+        if all(isinstance(entry, list) and len(entry) == 2 for entry in entries):
+            values = [v for entry in entries for v in entry]
+            if {type(v) for v in values} <= {float, int}:
+                try:
+                    return np.array(values, dtype=float).view(complex).reshape(n, n)
+                except OverflowError:
+                    pass
     if not isinstance(rows, list) or len(rows) != n:
         raise ProblemFileError(f"{where}: expected {n} rows")
     out = np.empty((n, n), dtype=complex)
@@ -101,10 +188,11 @@ def load_problem(path: str) -> ToeplitzProblem:
     """
     try:
         with open(path) as fh:
-            data = yaml.load(fh, Loader=_YAML_LOADER)
+            data = _load_yaml(fh)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: undecodable bytes, or a tagged scalar such as !!float abc
         raise ProblemFileError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ProblemFileError(f"{path}: top level must be a mapping")
@@ -142,8 +230,71 @@ def _cpx(z) -> list:
     return [z.real, z.imag]
 
 
-def _cmatrix(m) -> list:
-    return [[_cpx(v) for v in row] for row in np.asarray(m, dtype=complex)]
+def _cmatrix(m) -> np.ndarray:
+    # kept as an array; json_text writes it as nested [re, im] pairs
+    return np.array(m, dtype=complex)
+
+
+def _float_text(x) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+@functools.lru_cache(maxsize=64)
+def _array_template(shape: tuple, level: int) -> str:
+    # the json layout of a complex array of this shape at this depth, one
+    # %r per float
+    text = json.dumps(np.zeros(shape + (2,)).tolist(), indent=2)
+    return text.replace("0.0", "%r").replace("\n", "\n" + "  " * level)
+
+
+def _write(obj, level: int, out: list) -> None:
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, np.ndarray) and obj.dtype == complex:
+        text = _array_template(obj.shape, level) % tuple(obj.ravel().view(float).tolist())
+        if "n" in text:  # only in nan and inf
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        out.append(text)
+    elif isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
+        if not obj:
+            out.append("{}" if is_dict else "[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        out.append("{" if is_dict else "[")
+        for i, item in enumerate(sorted(obj) if is_dict else obj):
+            out.append("," + inner if i else inner)
+            if is_dict:
+                out.append(encode_basestring_ascii(item) + ": ")
+                item = obj[item]
+            _write(item, level + 1, out)
+        out.append("\n" + "  " * level + ("}" if is_dict else "]"))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    Complex ndarrays are written as nested [re, im] pairs, each through one
+    ``%`` template per shape and depth instead of one encoder call per
+    float. Keys must be strings.
+    """
+    out = []
+    _write(obj, 0, out)
+    return "".join(out)
 
 
 def build_report(verdict: Verdict, elapsed: float) -> dict:
@@ -192,7 +343,7 @@ def _cmd_classify(args) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json_text(report))
     if verdict.verdict is VerdictClass.INADMISSIBLE:
         for line in verdict.admissibility.failures:
             print(f"inadmissible: {line}", file=sys.stderr)
@@ -203,18 +354,25 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 # scan
 
+def _grid_value(text: str, what: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{what}: values must be finite, got {text}")
+    return value
+
+
 def _parse_range(text: str, what: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{what}: expected a:b:steps")
-    a, b, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    a, b, steps = _grid_value(parts[0], what), _grid_value(parts[1], what), int(parts[2])
     if steps < 1 or (steps == 1 and a != b) or (steps > 1 and b <= a):
         raise ValueError(f"{what}: invalid range {text}")
     return np.linspace(a, b, steps)
 
 
 def _parse_values(text: str, what: str) -> list:
-    vals = [float(v) for v in text.split(",") if v != ""]
+    vals = [_grid_value(v, what) for v in text.split(",") if v != ""]
     if not vals:
         raise ValueError(f"{what}: empty list")
     if len(set(vals)) != len(vals):
@@ -253,20 +411,32 @@ def _cmd_scan(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     points = [(re, im, na) for re in res for im in ims for na in nas]
+    # open the output before the grid runs; a failed grid leaves no file
+    try:
+        fh = open(args.output, "w", newline="")
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
+    written = False
     try:
         if args.workers > 1:
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
                 rows = list(pool.map(_scan_point, points, chunksize=32))
         else:
             rows = [_scan_point(p) for p in points]
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["re_lambda", "im_lambda", "normA", "verdict", "margin"])
         for re_lam, im_lam, norm_a, verdict, margin in rows:
             writer.writerow([repr(re_lam), repr(im_lam), repr(norm_a), verdict, repr(margin)])
+        written = True
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    finally:
+        fh.close()
+        # never a device or a link: -o may be /dev/null or /dev/stdout
+        if not written and os.path.isfile(args.output) and not os.path.islink(args.output):
+            os.remove(args.output)
     print(f"wrote {len(rows)} rows to {args.output}")
     return EXIT_OK
 
@@ -368,7 +538,7 @@ def _cmd_oracle(args) -> int:
             predicted = bergman.growth_exponent(f, reduced.weight, w) / 2.0
             out.update(radii=radii, log_norms=logs, slope=slope,
                        predicted_slope=predicted if math.isfinite(predicted) else "inf")
-        print(json.dumps(out, indent=2, sort_keys=True))
+        print(json_text(out))
         return EXIT_OK
     except InadmissibleProblem as exc:
         print(f"inadmissible: {exc}", file=sys.stderr)
@@ -435,10 +605,16 @@ def _join_negative_values(argv):
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args leaves it unchanged
+    return make_parser()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = make_parser().parse_args(_join_negative_values(list(argv)))
+    args = _parser().parse_args(_join_negative_values(list(argv)))
     try:
         classification_tolerance()  # a bad TOEPLITZ_TOL fails here, not mid-run
     except ValueError as exc:

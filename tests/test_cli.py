@@ -308,6 +308,54 @@ class TestScanCommand:
                    "--norm-a", "0:0.1:2", "-o", str(out)])
         assert rc == 2
 
+    @pytest.mark.parametrize("grid", [
+        ["--lambda-re=-1:0:3", "--lambda-im", "nan", "--norm-a", "0:0.1:2"],
+        ["--lambda-re=-1:inf:3", "--norm-a", "0:0.1:2"],
+        ["--lambda-re=-1:0:3", "--norm-a", "-inf:0.1:2"],
+    ])
+    def test_non_finite_grid_rejected(self, tmp_path, capsys, grid):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", *grid, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unwritable_output_fails_before_the_grid(self, tmp_path, capsys, monkeypatch):
+        def never(point):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli, "_scan_point", never)
+        out = tmp_path / "missing" / "scan.csv"
+        assert main(["scan", "--lambda-re=-1:0:3", "--norm-a", "0:0.1:2", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("via_link", [False, True])
+    def test_failed_grid_leaves_no_csv(self, tmp_path, capsys, monkeypatch, via_link):
+        from bargtop.errors import NumericalFailure
+
+        scan_point, calls = cli._scan_point, []
+
+        def fail_third(point):
+            calls.append(point)
+            if len(calls) == 3:
+                raise NumericalFailure("forced failure")
+            return scan_point(point)
+
+        monkeypatch.setattr(cli, "_scan_point", fail_third)
+        out = tmp_path / "scan.csv"
+        target = out
+        if via_link:
+            # like -o /dev/stdout: the link stays, only its target was truncated
+            target = tmp_path / "link.csv"
+            target.symlink_to(out)
+        assert main(["scan", "--lambda-re=-1:0:3", "--norm-a", "0:0.1:2", "-o", str(target)]) == 3
+        assert "forced failure" in capsys.readouterr().err
+        if via_link:
+            assert target.is_symlink() and out.read_text() == ""
+        else:
+            assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_single_suite(self, capsys):
