@@ -15,8 +15,9 @@ from bargtop import (
     canonical_map,
     positivity_certificate,
 )
-from bargtop.bergman import bergman_exponent, coherent_bound_criterion
+from bargtop.bergman import bergman_exponent, growth_subverdict
 from bargtop.model import ModelInstance, classify_model, model_problem
+from bargtop.toeplitz import VerdictClass
 from bargtop.weyl import classify_symbol, weyl_symbol
 
 
@@ -47,9 +48,10 @@ def walkthrough(lam, a):
           f"|prefactor| {symbol.prefactor_modulus:.4f} -> {sym_cls.label}")
 
     f = bergman_exponent(problem)
-    res = coherent_bound_criterion(f, problem.weight, strict=True)
+    res = growth_subverdict(f, problem.weight)
+    strict = res.verdict is VerdictClass.COMPACT
     print(f"coherent route: f(x,z) = ({f.fxz[0,0]:+.4f}) xz + ({f.fzz[0,0]/2:+.4f}) z^2, "
-          f"strict bound {'holds' if res.ok else 'fails'} (margin {res.margin:+.4f})")
+          f"strict bound {'holds' if strict else 'fails'} (margin {res.margin:+.4f})")
 
     closed = classify_model(inst)
     verdict = classify_operator(problem)

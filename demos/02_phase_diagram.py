@@ -4,7 +4,8 @@
 For q(x) = lam |x|^2 + a xbar^2 on the weight |x|^2/4 the operator is
 bounded iff 4|a| <= (1 - |g|^2)/|g|^2 with g = 1/(1 - 2 lam), compact iff
 strict.  We sweep (Re lam, |a|), classify every point with the full
-pipeline, print an ASCII map, and drop a CSV next to this script.
+pipeline, print an ASCII map, and write phase_diagram.csv to the current
+directory.
 
 The same sweep is available from the command line:
 
@@ -53,7 +54,7 @@ if __name__ == "__main__":
     rows = sweep(re_grid, na_grid)
     print(f"{'':8s}" + f"Re(lam) from {re_grid[0]} to {re_grid[-1]}")
 
-    out = pathlib.Path(__file__).with_name("phase_diagram.csv")
+    out = pathlib.Path("phase_diagram.csv")
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["re_lambda", "im_lambda", "normA", "verdict", "margin"])

@@ -29,7 +29,6 @@ from .forms import (
     check_polar_nondegenerate,
     classification_tolerance,
     polarize,
-    split_herm_plh,
 )
 from .symplectic import (
     AntilinearInvolution,
@@ -52,14 +51,12 @@ from .toeplitz import (
     build_phase,
     canonical_map,
     classify_operator,
-    reduce_and_factor,
 )
 from .weyl import WeylSymbol, classify_symbol, weyl_symbol
 from .bergman import (
     BergmanForm,
     CriticalSystem,
     bergman_exponent,
-    coherent_bound_criterion,
     coherent_overlap,
     coherent_route_map,
     critical_system,

@@ -33,20 +33,18 @@ from .toeplitz import SubVerdict, ToeplitzProblem, VerdictClass
 __all__ = [
     "CriticalSystem",
     "BergmanForm",
-    "CriterionResult",
     "critical_system",
     "bergman_exponent",
     "coherent_route_map",
     "coherent_overlap",
     "growth_exponent",
-    "coherent_bound_criterion",
     "growth_subverdict",
 ]
 
 
 def _require_hermitian_weight(weight: Weight, what: str) -> None:
     if not weight.is_hermitian:
-        raise ValueError(f"{what} requires a weight without pluriharmonic part; reduce first")
+        raise ValueError(f"{what} requires a weight without pluriharmonic part; normalize first")
 
 
 @dataclass
@@ -220,16 +218,6 @@ def growth_exponent(f: BergmanForm, weight: Weight, w, tol=None) -> float:
     return float(peak - 2.0 * weight.value(w))
 
 
-@dataclass
-class CriterionResult:
-    """Definiteness outcome of Phi(x) + Phi(w) - 2 Re f(x, conj(w))."""
-
-    ok: bool
-    margin: float
-    scale: float
-    strict: bool
-
-
 def _growth_gap_matrix(f: BergmanForm, weight: Weight) -> np.ndarray:
     """Phi(x) + Phi(w) - 2 Re f(x, conj(w)) as a real symmetric matrix in
     the interleaved coordinates of the stacked variable (x, w)."""
@@ -242,20 +230,13 @@ def _growth_gap_matrix(f: BergmanForm, weight: Weight) -> np.ndarray:
     return realify(a, b, c)
 
 
-def coherent_bound_criterion(
-    f: BergmanForm, weight: Weight, strict: bool = False, tol=None
-) -> CriterionResult:
-    """Check 2 Re f(x, conj(w)) <= Phi(x) + Phi(w) for all (x, w)
-    (boundedness); with ``strict`` the inequality must be strict away from
-    the origin (compactness)."""
-    _require_hermitian_weight(weight, "the growth criterion")
-    label, margin, scale = classify_real_form(_growth_gap_matrix(f, weight), tol)
-    ok = label == "definite" if strict else label != "indefinite"
-    return CriterionResult(bool(ok), margin, scale, strict)
-
-
 def growth_subverdict(f: BergmanForm, weight: Weight, tol=None) -> SubVerdict:
-    """Three-way verdict from the growth criterion's margin."""
+    """Three-way verdict from the growth criterion's margin.
+
+    2 Re f(x, conj(w)) <= Phi(x) + Phi(w) for all (x, w) is boundedness
+    (the verdict is not UNBOUNDED); strict inequality away from the origin
+    is compactness (COMPACT).
+    """
     _require_hermitian_weight(weight, "the growth criterion")
     label, margin, scale = classify_real_form(_growth_gap_matrix(f, weight), tol)
     verdict = {

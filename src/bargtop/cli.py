@@ -333,13 +333,12 @@ def build_report(verdict: Verdict, elapsed: float) -> dict:
 def _cmd_classify(args) -> int:
     try:
         problem = load_problem(args.file)
+        start = time.perf_counter()
+        verdict = classify_operator(problem)
+        report = build_report(verdict, time.perf_counter() - start)
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    start = time.perf_counter()
-    try:
-        verdict = classify_operator(problem)
-        report = build_report(verdict, time.perf_counter() - start)
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -491,10 +490,6 @@ def _cmd_oracle(args) -> int:
         return EXIT_INADMISSIBLE
     try:
         problem = load_problem(args.file)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    try:
         problem.require_admissible()
         out = {"experiment": args.experiment}
         if args.experiment == "trend":
@@ -531,11 +526,11 @@ def _cmd_oracle(args) -> int:
                 w[0] = r
                 logs.append(float(np.log(oracle.numeric_coherent_norm(problem, w))))
             slope = float(np.polyfit(np.array(radii) ** 2, logs, 1)[0])
-            reduced = problem.reduced()
-            f = bergman.bergman_exponent(reduced)
+            # the oracle refused a pluriharmonic part above: the weight is Hermitian
+            f = bergman.bergman_exponent(problem)
             w = np.zeros(problem.n, dtype=complex)
             w[0] = 1.0
-            predicted = bergman.growth_exponent(f, reduced.weight, w) / 2.0
+            predicted = bergman.growth_exponent(f, problem.weight, w) / 2.0
             out.update(radii=radii, log_norms=logs, slope=slope,
                        predicted_slope=predicted if math.isfinite(predicted) else "inf")
         print(json_text(out))
@@ -543,7 +538,7 @@ def _cmd_oracle(args) -> int:
     except InadmissibleProblem as exc:
         print(f"inadmissible: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    except OracleRefusal as exc:
+    except (ProblemFileError, OracleRefusal) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     except NumericalFailure as exc:

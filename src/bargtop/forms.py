@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,6 @@ __all__ = [
     "Admissibility",
     "polarize",
     "check_admissible",
-    "split_herm_plh",
     "check_polar_nondegenerate",
     "classification_tolerance",
     "parse_tolerance",
@@ -63,7 +63,11 @@ def parse_tolerance(value, where: str) -> float:
     except (TypeError, ValueError):
         tol = math.nan
     if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"{where}: must be a finite nonnegative number, got {value!r}")
+        # a YAML value may alias one list from many places; a full repr
+        # would visit every path through it, so bound the traversal
+        short = reprlib.Repr()
+        short.maxlevel, short.maxlist = 2, 3
+        raise ValueError(f"{where}: must be a finite nonnegative number, got {short.repr(value)}")
     return tol
 
 
@@ -348,19 +352,6 @@ def polarize(form) -> PolarizedForm:
     if isinstance(form, Weight):
         form = form.as_form()
     return PolarizedForm(form.qxx.copy(), form.qxbx.copy(), form.qxbxb.copy())
-
-
-def split_herm_plh(weight: Weight):
-    """Split off the pluriharmonic part.
-
-    Returns ``(herm, a_matrix)`` where ``herm`` has the same Levi form and
-    no pluriharmonic part, and ``a_matrix = (2/i) P`` is the shear
-    coefficient that moves the weight's phase-space graph onto the
-    Hermitian one.
-    """
-    herm = Weight(weight.h.copy(), np.zeros_like(weight.p))
-    a_matrix = -2j * weight.p
-    return herm, a_matrix
 
 
 @dataclass

@@ -64,9 +64,10 @@ class PhasePoint:
 
 def symplectic_form_matrix(n: int) -> np.ndarray:
     """Matrix J with sigma(rho, rho') = rho^T J rho'."""
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    return np.block([[zero, -eye], [eye, zero]])
+    j = np.zeros((2 * n, 2 * n))
+    j[:n, n:] = -np.eye(n)
+    j[n:, :n] = np.eye(n)
+    return j
 
 
 def symplectic_product(rho: PhasePoint, rho2: PhasePoint) -> complex:
@@ -162,21 +163,11 @@ def involution_for_weight(weight: Weight) -> AntilinearInvolution:
 
 
 def _involution_closed_hermitian(h: np.ndarray) -> AntilinearInvolution:
-    # (y, eta) -> (H^{-1} conj(eta) / 2i, (2/i) conj(H) conj(y)); cross-check route.
+    # (y, eta) -> (H^{-1} conj(eta) / 2i, (2/i) conj(H) conj(y)); at H = I/4 it
+    # is the constant involution of the normal form, exact in binary
     n = h.shape[0]
     zero = np.zeros((n, n))
     m = np.block([[zero, np.linalg.inv(h) / 2j], [-2j * np.conj(h), zero]])
-    return AntilinearInvolution(m)
-
-
-def _involution_via_shear(weight: Weight) -> AntilinearInvolution:
-    # Conjugate the Hermitian involution by the pluriharmonic shear; cross-check route.
-    from .forms import split_herm_plh
-
-    herm, a_matrix = split_herm_plh(weight)
-    shear = pluriharmonic_shear(a_matrix)
-    mh = _involution_closed_hermitian(herm.h).m
-    m = np.linalg.inv(shear.k) @ mh @ np.conj(shear.k)
     return AntilinearInvolution(m)
 
 

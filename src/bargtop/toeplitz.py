@@ -11,28 +11,27 @@ closed-form model family) are attached as witnesses and must agree.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DisagreementError, InadmissibleProblem
+from .errors import DisagreementError, InadmissibleProblem, NumericalFailure
 from .forms import (
     Admissibility,
     ComplexQuadraticForm,
     Weight,
     check_admissible,
     classification_tolerance,
-    split_herm_plh,
 )
 from .symplectic import (
     LinearCanonicalMap,
     PositivityCertificate,
     QuadraticPhase,
+    _involution_closed_hermitian,
     canonical_from_phase,
-    involution_for_weight,
-    pluriharmonic_shear,
     positivity_certificate,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "AGREEMENT_BAND",
     "build_phase",
     "canonical_map",
-    "reduce_and_factor",
     "classify_operator",
 ]
 
@@ -57,27 +55,53 @@ __all__ = [
 AGREEMENT_BAND = 1e-8
 
 
+@functools.cache
+def _model_weight(n: int) -> Weight:
+    # one |x|^2/4 per dimension, shared by every normal form, so read-only
+    weight = Weight.model(n)
+    weight.h.flags.writeable = weight.p.flags.writeable = False
+    return weight
+
+
 class ToeplitzProblem:
-    """A weight together with a quadratic symbol exponent.
+    """A weight together with a quadratic symbol exponent, and its normal form.
+
+    The pluriharmonic shear (multiplication by e^{-x.P x}) and x' = M x
+    with the frame M = 2 chol(H)^H are unitary equivalences that carry the
+    problem to ``normal``: the weight |x|^2/4 and q' = q o M^{-1}, the
+    problem itself when its weight already is |x|^2/4.
 
     ``tol`` is the relative tolerance of every definiteness decision on
     the problem, admissibility included; it defaults to
     :func:`classification_tolerance` at construction.  Admissibility is
-    checked once at construction and cached (``admissibility`` passes in
-    a check already made for the same H and q); operations that require
-    it call :meth:`require_admissible`.
+    checked once, on the normal form (its sign is a congruence
+    invariant); operations that require it call :meth:`require_admissible`.
     """
 
-    def __init__(self, weight: Weight, q: ComplexQuadraticForm, tol=None,
-                 admissibility: Admissibility | None = None):
+    def __init__(self, weight: Weight, q: ComplexQuadraticForm, tol=None):
         if weight.n != q.n:
             raise ValueError("weight and symbol dimensions disagree")
         self.weight = weight
         self.q = q
         self.tol = classification_tolerance() if tol is None else tol
-        if admissibility is None:
-            admissibility = check_admissible(weight, q, self.tol)
-        self.admissibility: Admissibility = admissibility
+        n = weight.n
+        if np.array_equal(weight.h, np.eye(n) / 4.0) and not weight.p.any():
+            self.frame = np.eye(n)
+            self.normal = self
+            self.admissibility: Admissibility = check_admissible(weight, q, self.tol)
+        else:
+            self.frame = 2.0 * np.linalg.cholesky(weight.h).conj().T
+            inv = np.linalg.inv(self.frame)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    q_normal = ComplexQuadraticForm(
+                        inv.T @ q.qxx @ inv, inv.conj().T @ q.qxbx @ inv,
+                        inv.conj().T @ q.qxbxb @ inv.conj(),
+                    )
+            except ValueError as exc:
+                raise NumericalFailure(f"normal form of q: {exc}") from exc
+            self.normal = ToeplitzProblem(_model_weight(n), q_normal, self.tol)
+            self.admissibility = self.normal.admissibility
 
     @property
     def n(self) -> int:
@@ -87,14 +111,22 @@ class ToeplitzProblem:
         if not self.admissibility.ok:
             raise InadmissibleProblem("; ".join(self.admissibility.failures))
 
-    def reduced(self) -> "ToeplitzProblem":
-        """The unitarily equivalent problem with pluriharmonic part removed.
+    def normal_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(T, T^{-1})`` for T = diag(M, M^{-T}) S, S the pluriharmonic shear.
 
-        Admissibility depends only on the Levi form and q, so the check
-        made for this problem carries over.
+        T carries the weight's phase-space graph onto that of |x|^2/4, so
+        the canonical map K of this problem is T^{-1} K' T for K' that of
+        :attr:`normal`.
         """
-        herm, _ = split_herm_plh(self.weight)
-        return ToeplitzProblem(herm, self.q, self.tol, self.admissibility)
+        n = self.n
+        m, inv = self.frame, np.linalg.inv(self.frame)
+        shear = 2j * self.weight.p
+        t = np.zeros((2 * n, 2 * n), dtype=complex)
+        t_inv = np.zeros_like(t)
+        # T = [[M, 0], [M^{-T} 2iP, M^{-T}]], T^{-1} = [[M^{-1}, 0], [-2iP M^{-1}, M^T]]
+        t[:n, :n], t[n:, :n], t[n:, n:] = m, inv.T @ shear, inv.T
+        t_inv[:n, :n], t_inv[n:, :n], t_inv[n:, n:] = inv, -shear @ inv, m.T
+        return t, t_inv
 
 
 class VerdictClass(enum.Enum):
@@ -127,7 +159,9 @@ class Verdict:
 
     ``kappa`` is the canonical map of the problem as given, ``symbol``
     its Weyl symbol and ``bergman_form`` the coherent-state exponent of
-    the reduced problem: the quantities the witnesses were computed from.
+    its weight's Hermitian part, all in the coordinates of the problem as
+    given; the witnesses and their margins come from the same quantities
+    of the normal form.
     """
 
     verdict: VerdictClass
@@ -174,32 +208,23 @@ def canonical_map(problem: ToeplitzProblem) -> LinearCanonicalMap:
     return canonical_from_phase(build_phase(problem))
 
 
-def reduce_and_factor(
-    problem: ToeplitzProblem,
-    reduced: ToeplitzProblem | None = None,
-    k_full: LinearCanonicalMap | None = None,
-):
-    """Remove the pluriharmonic part and verify the shear factorization.
-
-    Returns ``(kappa_herm, residual)`` where ``kappa_herm`` is the
-    canonical map of the reduced problem and ``residual`` measures
-    ``K - S^{-1} K_herm S`` for the pluriharmonic shear S.  A caller that
-    already holds ``problem.reduced()`` or ``K = canonical_map(problem)``
-    passes them in so neither is built twice.
-    """
-    problem.require_admissible()
-    if reduced is None:
-        reduced = problem.reduced()
-    if k_full is None:
-        k_full = canonical_map(problem)
-    _, a_matrix = split_herm_plh(problem.weight)
-    k_herm = canonical_map(reduced)
-    shear = pluriharmonic_shear(a_matrix)
-    recomposed = np.linalg.inv(shear.k) @ k_herm.k @ shear.k
-    residual = float(
-        np.max(np.abs(k_full.k - recomposed)) / max(1.0, np.max(np.abs(k_full.k)))
+def _file_coordinates(problem: ToeplitzProblem, kappa: LinearCanonicalMap,
+                      symbol: WeylSymbol, f: BergmanForm):
+    """The normal form's K', Weyl symbol and coherent exponent, taken back
+    to the coordinates of ``problem``: K = T^{-1} K' T, g(x) = g'(M x) and
+    f(x, z) = f'(M x, conj(M) z); the prefactor is unchanged."""
+    if problem.normal is problem:
+        return kappa, symbol, f
+    t, t_inv = problem.normal_map()
+    m = problem.frame
+    mh, mb = m.conj().T, m.conj()
+    g = symbol.g
+    g = ComplexQuadraticForm(m.T @ g.qxx @ m, mh @ g.qxbx @ m, mh @ g.qxbxb @ mb)
+    return (
+        LinearCanonicalMap(t_inv @ kappa.k @ t),
+        replace(symbol, g=g),
+        replace(f, fxx=m.T @ f.fxx @ m, fxz=m.T @ f.fxz @ mb, fzz=mh @ f.fzz @ mb),
     )
-    return k_herm, residual
 
 
 def _certificate_subverdict(cert: PositivityCertificate) -> SubVerdict:
@@ -214,10 +239,12 @@ def _certificate_subverdict(cert: PositivityCertificate) -> SubVerdict:
 def classify_operator(problem: ToeplitzProblem) -> Verdict:
     """Classify the operator as unbounded, bounded, or compact.
 
+    Every route runs on ``problem.normal``, so margins are scale-free.
     The verdict of record comes from the positivity certificate of the
-    reduced canonical transformation.  Weyl-symbol and coherent-growth
-    witnesses (and the closed-form verdict when the problem belongs to
-    the radial model family) are attached; if two confident witnesses
+    normal form's canonical transformation relative to the constant
+    involution of |x|^2/4.  Weyl-symbol and coherent-growth witnesses
+    (and the closed-form verdict when the normal form belongs to the
+    radial model family) are attached; if two confident witnesses
     disagree a :class:`DisagreementError` is raised, never a silently
     merged verdict.  Every definiteness decision uses ``problem.tol``.
     """
@@ -232,20 +259,18 @@ def classify_operator(problem: ToeplitzProblem) -> Verdict:
             admissibility=problem.admissibility,
         )
 
-    reduced = problem.reduced()
-    kappa = canonical_map(problem)
-    k_herm, _ = reduce_and_factor(problem, reduced, kappa)
-    iota = involution_for_weight(reduced.weight)
-    cert = positivity_certificate(k_herm, iota, tol)
+    normal = problem.normal
+    kappa = canonical_map(normal)
+    cert = positivity_certificate(kappa, _involution_closed_hermitian(normal.weight.h), tol)
     witnesses = {"certificate": _certificate_subverdict(cert)}
 
-    symbol = weyl.weyl_symbol(problem)
+    symbol = weyl.weyl_symbol(normal)
     witnesses["weyl"] = weyl.symbol_subverdict(symbol, tol)
 
-    f = bergman.bergman_exponent(reduced)
-    witnesses["bergman"] = bergman.growth_subverdict(f, reduced.weight, tol)
+    f = bergman.bergman_exponent(normal)
+    witnesses["bergman"] = bergman.growth_subverdict(f, normal.weight, tol)
 
-    instance = model.detect_model(problem)
+    instance = model.detect_model(normal)
     if instance is not None:
         witnesses["model"] = model.model_subverdict(instance)
 
@@ -260,6 +285,7 @@ def classify_operator(problem: ToeplitzProblem) -> Verdict:
 
     record = witnesses["certificate"]
     boundary = not record.confident
+    kappa, symbol, f = _file_coordinates(problem, kappa, symbol, f)
     return Verdict(
         record.verdict,
         margin=cert.margin,

@@ -16,13 +16,12 @@ from .forms import ComplexQuadraticForm, Weight, real_part_matrix
 from .symplectic import (
     PhasePoint,
     _involution_closed_hermitian,
-    _involution_via_shear,
     graph_point,
     involution_for_weight,
     positivity_certificate,
     symplectic_product,
 )
-from .toeplitz import ToeplitzProblem, canonical_map, reduce_and_factor
+from .toeplitz import ToeplitzProblem, canonical_map
 from . import bergman, model, oracle, weyl
 
 __all__ = [
@@ -33,6 +32,7 @@ __all__ = [
     "random_weight",
     "random_admissible_problem",
     "random_admissible_lambda",
+    "factorization_residual",
 ]
 
 
@@ -98,6 +98,15 @@ def random_admissible_lambda(rng, re_range=(-3.0, 0.24), im_range=(-2.0, 2.0)) -
             return lam
 
 
+def factorization_residual(problem: ToeplitzProblem) -> float:
+    """Relative distance of K = canonical_map(problem) from T^{-1} K' T,
+    K' the normal form's map and T = ``problem.normal_map()[0]``."""
+    k_full = canonical_map(problem).k
+    t, t_inv = problem.normal_map()
+    recomposed = t_inv @ canonical_map(problem.normal).k @ t
+    return float(np.max(np.abs(k_full - recomposed)) / max(1.0, np.max(np.abs(k_full))))
+
+
 # ---------------------------------------------------------------------------
 # suite plumbing
 
@@ -152,8 +161,10 @@ def suite_involution(seed: int = 0, n: int = 1) -> SuiteResult:
             err = np.max(np.abs(img.vec - pt.vec)) / (1.0 + np.max(np.abs(pt.vec)))
             worst_fix = max(worst_fix, err)
         res.add(f"fixes graph #{k}", worst_fix, 1e-12)
-        other = _involution_via_shear(w)
-        res.add(f"shear route agrees #{k}", float(np.max(np.abs(iota.m - other.m))), 1e-12)
+        # T^{-1} iota_model conj(T), T the problem's map to its normal form
+        t, t_inv = ToeplitzProblem(w, ComplexQuadraticForm.zero(n)).normal_map()
+        other = t_inv @ _involution_closed_hermitian(np.eye(n) / 4.0).m @ np.conj(t)
+        res.add(f"normal form route agrees #{k}", float(np.max(np.abs(iota.m - other))), 1e-12)
         if w.is_hermitian:
             closed = _involution_closed_hermitian(w.h)
             res.add(f"closed form agrees #{k}", float(np.max(np.abs(iota.m - closed.m))), 1e-12)
@@ -202,17 +213,17 @@ def suite_factorization(seed: int = 0, n: int = 1) -> SuiteResult:
     rng = np.random.default_rng(seed)
     for k in range(50):
         problem = random_admissible_problem(rng, n, pluriharmonic=True)
-        k_herm, residual = reduce_and_factor(problem)
-        res.add(f"shear factorization #{k}", residual, 1e-12)
+        res.add(f"normal form factorization #{k}", factorization_residual(problem), 1e-12)
         if k < 10:
             cert_full = positivity_certificate(
                 canonical_map(problem), involution_for_weight(problem.weight)
             )
-            cert_red = positivity_certificate(
-                k_herm, involution_for_weight(problem.reduced().weight)
+            cert_normal = positivity_certificate(
+                canonical_map(problem.normal),
+                _involution_closed_hermitian(problem.normal.weight.h),
             )
-            agree = 0.0 if cert_full.classification == cert_red.classification else 1.0
-            res.add(f"reduced class agrees #{k}", agree, 0.5)
+            agree = 0.0 if cert_full.classification == cert_normal.classification else 1.0
+            res.add(f"normal form class agrees #{k}", agree, 0.5)
     return res
 
 

@@ -10,8 +10,8 @@ import pytest
 
 from bargtop.bergman import (
     bergman_exponent,
-    coherent_bound_criterion,
     coherent_overlap,
+    growth_subverdict,
 )
 from bargtop.errors import DisagreementError
 from bargtop.forms import ComplexQuadraticForm, Weight, polarize
@@ -28,9 +28,9 @@ from bargtop.toeplitz import (
     VerdictClass,
     canonical_map,
     classify_operator,
-    reduce_and_factor,
 )
 from bargtop.verify import (
+    factorization_residual,
     random_admissible_lambda,
     random_admissible_problem,
     random_weight,
@@ -150,14 +150,14 @@ def test_criterion_4_bergman_identity():
             continue
         problem = model_problem(inst)
         f = bergman_exponent(problem)
-        res = coherent_bound_criterion(f, problem.weight, strict=False)
-        strict = coherent_bound_criterion(f, problem.weight, strict=True)
+        res = growth_subverdict(f, problem.weight)
         if abs(res.margin) <= 1e-8 * max(res.scale, 1.0):
             continue
         compared += 1
         want_bounded = closed.verdict in (VerdictClass.COMPACT, VerdictClass.BOUNDED_NOT_COMPACT)
         want_compact = closed.verdict is VerdictClass.COMPACT
-        if res.ok != want_bounded or strict.ok != want_compact:
+        bounded = res.verdict is not VerdictClass.UNBOUNDED
+        if bounded != want_bounded or (res.verdict is VerdictClass.COMPACT) != want_compact:
             mismatches += 1
     ok = worst_triv <= 1e-14 and worst_model <= 1e-12 and mismatches == 0 and compared > 1000
     report(4, "coherent exponent identity", ok,
@@ -204,8 +204,7 @@ def test_criterion_6_geometry_suite():
         problem = random_admissible_problem(rng, 1 + k % 2, pluriharmonic=True)
         kmap = canonical_map(problem)
         worst_symp = max(worst_symp, kmap.symplectic_residual())
-        _, residual = reduce_and_factor(problem)
-        worst_fact = max(worst_fact, residual)
+        worst_fact = max(worst_fact, factorization_residual(problem))
     ok = max(worst_inv, worst_fix, worst_symp, worst_fact, worst_real) <= 1e-12
     report(6, "geometry suite", ok,
            f"involution {worst_inv:.1e}, fixed-point {worst_fix:.1e}, "

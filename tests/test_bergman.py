@@ -9,14 +9,14 @@ from bargtop.bergman import (
     _growth_gap_matrix,
     _growth_quadratic_matrix,
     bergman_exponent,
-    coherent_bound_criterion,
     coherent_overlap,
     critical_system,
     growth_exponent,
+    growth_subverdict,
 )
 from bargtop.forms import ComplexQuadraticForm, Weight, polarize, quadratic_matrix, uninterleave
 from bargtop.model import ModelInstance, model_problem
-from bargtop.toeplitz import ToeplitzProblem, classify_operator
+from bargtop.toeplitz import ToeplitzProblem, VerdictClass, classify_operator
 from bargtop.verify import random_admissible_problem, random_weight
 
 
@@ -167,18 +167,18 @@ class TestCriterion:
     def test_trivial_symbol_boundary(self):
         w = Weight.model(1)
         f = bergman_exponent(ToeplitzProblem(w, ComplexQuadraticForm.zero(1)))
-        assert coherent_bound_criterion(f, w, strict=False).ok
-        assert not coherent_bound_criterion(f, w, strict=True).ok
+        # the bound holds, the strict bound does not
+        assert growth_subverdict(f, w).verdict is VerdictClass.BOUNDED_NOT_COMPACT
 
     def test_compact_model_strict(self):
         problem = model_problem(ModelInstance(1, -0.5, np.zeros((1, 1))))
         f = bergman_exponent(problem)
-        assert coherent_bound_criterion(f, problem.weight, strict=True).ok
+        assert growth_subverdict(f, problem.weight).verdict is VerdictClass.COMPACT
 
     def test_unbounded_model_fails(self):
         problem = model_problem(ModelInstance(1, 0.0, np.array([[0.1]])))
         f = bergman_exponent(problem)
-        assert not coherent_bound_criterion(f, problem.weight, strict=False).ok
+        assert growth_subverdict(f, problem.weight).verdict is VerdictClass.UNBOUNDED
 
     def test_criterion_matches_certificate(self):
         rng = np.random.default_rng(7)
@@ -197,13 +197,13 @@ class TestCriterion:
         for k in range(20):
             problem = random_admissible_problem(rng, 1, damped=(k % 2 == 0))
             f = bergman_exponent(problem)
-            res = coherent_bound_criterion(f, problem.weight, strict=False)
+            res = growth_subverdict(f, problem.weight)
             sampled = [
                 growth_exponent(f, problem.weight, pt) for pt in cpx(rng, 30, 1)
             ]
             all_nonpositive = all(v <= 1e-9 for v in sampled)
-            if abs(res.margin) > 1e-8 * max(res.scale, 1.0):
-                assert res.ok == all_nonpositive
+            if res.confident:
+                assert (res.verdict is not VerdictClass.UNBOUNDED) == all_nonpositive
 
 
 class TestClosedFormRealification:

@@ -209,8 +209,8 @@ class TestClassifyCommand:
             count(module, name)
         path = write_model_file(tmp_path / "p.yaml", complex(-0.3, 0.1), a=0.02)
         assert main(["classify", path]) == 0
-        # K and K_herm are the two canonical maps; the report reuses them
-        assert calls == {"check_admissible": 1, "canonical_from_phase": 2,
+        # one canonical map, of the normal form; the report reuses it
+        assert calls == {"check_admissible": 1, "canonical_from_phase": 1,
                          "weyl_symbol": 1, "critical_system": 1}
         report = json.loads(capsys.readouterr().out)
         assert np.array_equal(np.array(report["kappa"]).view(complex)[..., 0],
@@ -228,17 +228,44 @@ class TestClassifyCommand:
         assert main(["classify", path]) == 3
         assert "forced conflict" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("phi0,q", [
-        ("hermitian: [[[1.0e-30, 0.0]]]", ""),
-        ("hermitian: [[[1.0e+300, 0.0]]]", "q:\n  xbarx: [[[-1.0e+300, 0.0]]]\n"),
+    @pytest.mark.parametrize("phi0,q,verdict", [
+        ("hermitian: [[[1.0e-30, 0.0]]]", "", "bounded_not_compact"),
+        ("hermitian: [[[1.0e+300, 0.0]]]", "q:\n  xbarx: [[[-1.0e+300, 0.0]]]\n", "compact"),
     ])
-    def test_levi_form_far_from_unit_scale_exits_three(self, tmp_path, capsys, phi0, q):
-        # the involution's construction residual is round-off at this scale
+    def test_levi_form_far_from_unit_scale_classifies(self, tmp_path, capsys, phi0, q, verdict):
+        # the normal form is |x|^2/4 with q' = 0 and q' = -|x|^2/4
         path = tmp_path / "p.yaml"
         path.write_text(f"n: 1\nphi0:\n  {phi0}\n{q}")
+        assert main(["classify", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["verdict"] == verdict
+
+    def test_normal_form_overflow_exits_three(self, tmp_path, capsys):
+        # q' = q / (4 * 1e-300) is not a finite number
+        path = tmp_path / "p.yaml"
+        path.write_text("n: 1\nphi0:\n  hermitian: [[[1.0e-300, 0.0]]]\n"
+                        "q:\n  xbarx: [[[0.0, 1.0e+10]]]\n")
         assert main(["classify", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("a", [0.0, 0.05])
+    @pytest.mark.parametrize("k", range(-8, 9))
+    def test_dilated_compact_problem(self, tmp_path, capsys, k, a):
+        # H = s/4, q = s(-|x|^2/2 + a xbar^2) is the dilation of a compact model
+        s = 10.0 ** k
+        path = tmp_path / "p.yaml"
+        path.write_text(f"n: 1\nphi0:\n  hermitian: [[[{s / 4:.17e}, 0.0]]]\n"
+                        f"q:\n  xbarx: [[[{-s / 2:.17e}, 0.0]]]\n"
+                        f"  xbarxbar: [[[{2 * a * s:.17e}, 0.0]]]\n")
+        assert main(["classify", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "compact" and report["boundary"] is False
+        assert set(report["margins"]) == {"certificate", "weyl", "bergman", "model"}
+        for entry in report["margins"].values():
+            assert entry["verdict"] == "compact"
+            assert abs(entry["margin"]) > 1e-8 * max(entry["scale"], 1.0)
 
     def test_tolerance_override_via_env(self, tmp_path, capsys, monkeypatch):
         # a wide band turns a mildly definite certificate into a boundary call:

@@ -10,7 +10,6 @@ from bargtop.forms import (
     polarize,
     quadratic_matrix,
     real_part_matrix,
-    split_herm_plh,
     uninterleave,
 )
 from bargtop.verify import random_admissible_problem
@@ -113,26 +112,33 @@ class TestWeight:
 
 
 class TestSplit:
+    """Phi = xbar.H x + Re(x.P x): the Hermitian part and the pluriharmonic part."""
+
     def test_zero_pluriharmonic(self):
-        herm, a = split_herm_plh(Weight.model(2))
-        assert np.all(a == 0)
-        assert herm.is_hermitian
+        w = Weight.model(2)
+        assert w.is_hermitian
+        x = np.array([1.0 - 2.0j, 0.5j])
+        assert w.herm_value(x) == w.value(x)
 
     def test_scalar_example(self):
-        # Phi = |x|^2/4 + 0.1 Re(x^2): P = 0.1, shear coefficient -0.2i
+        # Phi = |x|^2/4 + 0.1 Re(x^2)
         w = Weight(np.array([[0.25]]), np.array([[0.1]]))
-        _, a = split_herm_plh(w)
-        assert a[0, 0] == pytest.approx(-0.2j)
+        assert not w.is_hermitian
+        x = np.array([1.0 + 1.0j])
+        assert w.herm_value(x) == pytest.approx(0.5)
+        assert w.value(x) - w.herm_value(x) == pytest.approx(0.1 * (x[0] ** 2).real, abs=1e-15)
 
     def test_recomposition(self):
         rng = np.random.default_rng(6)
         h = _sym(rng, 2)
         h = h @ h.conj().T + np.eye(2)
         w = Weight(h, 0.2 * _sym(rng, 2))
-        herm, _ = split_herm_plh(w)
         for x in rand_points(rng, 2, 100):
             plh = (x @ w.p @ x).real
-            assert herm.value(x) + plh == pytest.approx(w.value(x), rel=1e-14, abs=1e-12)
+            assert w.herm_value(x) + plh == pytest.approx(w.value(x), rel=1e-14, abs=1e-12)
+            # the Hermitian part is the average over the rotation x -> i x
+            assert w.herm_value(x) == pytest.approx((w.value(x) + w.value(1j * x)) / 2,
+                                                    rel=1e-14, abs=1e-12)
 
 
 class TestAdmissibility:

@@ -255,6 +255,19 @@ class TestHostileFiles:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("alias", ["c", "i"])
+    def test_bomb_tolerance_message_is_short(self, tmp_path, capsys, alias):
+        # *c holds 729 strings, *i about 3.9e8; the message shows a bounded prefix
+        path = tmp_path / "p.yaml"
+        path.write_text(BOMB + "n: 1\nphi0:\n  hermitian: [[[0.25, 0.0]]]\n"
+                        f"tolerances:\n  classification: *{alias}\n")
+        start = time.perf_counter()
+        assert main(["classify", str(path)]) == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: tolerances.classification") and err.count("\n") == 1
+        assert len(err) < 300
+
 
 def plain(obj):
     # what build_report returned before matrices stayed arrays

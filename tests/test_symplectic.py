@@ -9,7 +9,6 @@ from bargtop.symplectic import (
     PhasePoint,
     QuadraticPhase,
     _involution_closed_hermitian,
-    _involution_via_shear,
     canonical_from_phase,
     graph_point,
     involution_for_weight,
@@ -109,8 +108,10 @@ class TestInvolution:
         for k in range(10):
             w = random_weight(rng, 2, pluriharmonic=(k % 2 == 0))
             direct = involution_for_weight(w)
-            conj_route = _involution_via_shear(w)
-            assert np.max(np.abs(direct.m - conj_route.m)) < 1e-12
+            # T^{-1} iota_model conj(T), T the map to the normal form
+            t, t_inv = ToeplitzProblem(w, ComplexQuadraticForm.zero(2)).normal_map()
+            model = _involution_closed_hermitian(np.eye(2) / 4.0)
+            assert np.max(np.abs(direct.m - t_inv @ model.m @ np.conj(t))) < 1e-12
             if w.is_hermitian:
                 closed = _involution_closed_hermitian(w.h)
                 assert np.max(np.abs(direct.m - closed.m)) < 1e-12
@@ -135,10 +136,8 @@ class TestShear:
     def test_moves_graph_onto_hermitian_graph(self):
         rng = np.random.default_rng(5)
         w = random_weight(rng, 2, pluriharmonic=True)
-        from bargtop.forms import split_herm_plh
-
-        herm, a = split_herm_plh(w)
-        s = pluriharmonic_shear(a)
+        herm = Weight(w.h, np.zeros((2, 2)))
+        s = pluriharmonic_shear(-2j * w.p)
         for _ in range(30):
             x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             moved = s.apply(graph_point(w, x))
