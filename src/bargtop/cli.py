@@ -21,7 +21,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -379,6 +378,17 @@ def _parse_values(text: str, what: str) -> list:
     return vals
 
 
+def _check_workers(workers: int) -> None:
+    # a fork pool starts all its workers at once: cap them at the CPUs
+    # this process may run on
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ValueError(f"--workers: expected 1 to {cpus} (usable CPUs), got {workers}")
+
+
 def _scan_point(point):
     re_lam, im_lam, norm_a = (float(v) for v in point)
     inst = model.ModelInstance(1, complex(re_lam, im_lam), np.array([[norm_a]]))
@@ -406,6 +416,7 @@ def _cmd_scan(args) -> int:
         res = _parse_range(args.lambda_re, "--lambda-re")
         ims = _parse_values(args.lambda_im, "--lambda-im")
         nas = _parse_range(args.norm_a, "--norm-a")
+        _check_workers(args.workers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
@@ -419,6 +430,9 @@ def _cmd_scan(args) -> int:
     written = False
     try:
         if args.workers > 1:
+            # imported here: it loads multiprocessing, which a serial scan never needs
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
                 rows = list(pool.map(_scan_point, points, chunksize=32))
         else:

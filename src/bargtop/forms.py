@@ -288,8 +288,9 @@ class Weight:
 
     @property
     def is_hermitian(self) -> bool:
-        """True when the pluriharmonic part vanishes."""
-        return float(np.max(np.abs(self.p))) <= 1e-14 * (np.max(np.abs(self.h)) + 1.0)
+        """True when the pluriharmonic part vanishes relative to the Levi
+        form; the test is scale-free, as H is never zero."""
+        return float(np.max(np.abs(self.p))) <= 1e-14 * float(np.max(np.abs(self.h)))
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=complex)

@@ -19,6 +19,9 @@ exact and is the default.  The Weyl convolution and the coherent-state
 kernel are not polynomial; their orders are fixed empirically.  Nodes and
 weights come from ``scipy.special.roots_hermite`` (Golub-Welsch with a
 Newton step, an asymptotic expansion from order 150).
+
+SciPy is imported inside the functions that call it, so importing the
+package (and running ``classify`` or ``scan``) does not load it.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gammaln, roots_hermite
 
 from .errors import NotAbsolutelyConvergent, OracleRefusal, QuadratureDivergence
 from .forms import ComplexQuadraticForm, Weight, form_matrix, real_part_matrix
@@ -96,7 +97,7 @@ def _require_oracle_weight(weight: Weight) -> np.ndarray:
         raise OracleRefusal("oracle requires a weight without pluriharmonic part")
     h = weight.h
     off = h - np.diag(np.diag(h))
-    if np.max(np.abs(off)) > 1e-13 * (np.max(np.abs(h)) + 1.0):
+    if np.max(np.abs(off)) > 1e-13 * np.max(np.abs(h)):
         raise OracleRefusal(
             "oracle requires a diagonal Levi form; rotate coordinates unitarily first"
         )
@@ -118,6 +119,8 @@ def monomial_indices(n: int, size: int):
 
 def _log_monomial_norms_sq(hdiag, indices):
     """log ||x^alpha||^2 = sum_i log(pi alpha_i! / (2 h_i)^{alpha_i + 1})."""
+    from scipy.special import gammaln
+
     out = np.empty(len(indices))
     for j, alpha in enumerate(indices):
         out[j] = sum(
@@ -172,6 +175,9 @@ def _scaled_rule(gmat: np.ndarray, order: int):
     integral of e^{-t.Gt} f(t) over R^m  =  det(M) * sum w_i f(M s_i)
     exactly for polynomial f of degree < 2*order.
     """
+    import scipy.linalg
+    from scipy.special import roots_hermite
+
     sqrtg = scipy.linalg.sqrtm(gmat.astype(complex))
     minv = np.linalg.inv(sqrtg)
     detm = 1.0 / np.linalg.det(sqrtg)
@@ -222,6 +228,8 @@ def _radial_diagonal(problem: ToeplitzProblem, size: int, order: int) -> np.ndar
     """Diagonal entries for radial q at n=1 via Gauss-Laguerre on the
     rotated radial contour: entry k equals (2h/a)^{k+1} times an exact
     moment ratio, with a = 2h - lam."""
+    from scipy.special import gammaln
+
     h = float(np.real(problem.weight.h[0, 0]))
     lam = complex(problem.q.qxbx[0, 0])
     a = 2.0 * h - lam
@@ -330,6 +338,8 @@ def numeric_weyl(problem: ToeplitzProblem, x, order: int | None = None) -> compl
     H^{-1}/4; admissibility already guarantees absolute convergence, which
     is still checked and reported.
     """
+    from scipy.special import roots_hermite
+
     problem.require_admissible()
     _require_small(problem)
     n = problem.n

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .forms import ComplexQuadraticForm, Weight, real_part_matrix
 from .symplectic import (
@@ -66,6 +65,8 @@ def random_admissible_problem(
     multiple of the Hermitian part, which biases the draw toward compact
     operators (raw draws are mostly unbounded).
     """
+    import scipy.linalg  # only here: importing verify leaves SciPy unloaded
+
     while True:
         w = random_weight(rng, n, pluriharmonic)
         q = ComplexQuadraticForm(

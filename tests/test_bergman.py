@@ -8,6 +8,7 @@ from bargtop.bergman import (
     BergmanForm,
     _growth_gap_matrix,
     _growth_quadratic_matrix,
+    _require_hermitian_weight,
     bergman_exponent,
     coherent_overlap,
     critical_system,
@@ -50,6 +51,12 @@ class TestCriticalSystem:
         w = Weight(np.array([[0.25]]), np.array([[0.1]]))
         with pytest.raises(ValueError, match="pluriharmonic"):
             critical_system(ToeplitzProblem(w, ComplexQuadraticForm.zero(1)))
+
+    def test_pluriharmonic_part_refused_far_below_unit_scale(self):
+        # P is 1% of H: not a rounding residual at any scale
+        w = Weight(np.array([[1.0e-20]]), np.array([[1.0e-22]]))
+        with pytest.raises(ValueError, match="pluriharmonic"):
+            _require_hermitian_weight(w, "test")
 
 
 class TestBergmanExponent:

@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import numpy as np
@@ -357,6 +358,23 @@ class TestScanCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-3", "cpus + 1"])
+    def test_workers_out_of_range_rejected(self, tmp_path, capsys, monkeypatch, workers):
+        def never(point):
+            raise AssertionError("the grid ran")
+
+        if workers == "cpus + 1":
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count())
+            workers = str(cpus + 1)
+        monkeypatch.setattr(cli, "_scan_point", never)
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--lambda-re=-1:0:3", "--norm-a", "0:0.1:2", "-o", str(out),
+                     "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --workers:") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("via_link", [False, True])
     def test_failed_grid_leaves_no_csv(self, tmp_path, capsys, monkeypatch, via_link):
         from bargtop.errors import NumericalFailure
@@ -443,6 +461,7 @@ class TestOracleCommand:
     @pytest.mark.parametrize("case", [
         "sizes abc", "sizes 0", "sizes -3", "sizes 10,,20",
         "pluriharmonic", "non-diagonal", "n3 trend", "n3 weyl", "n3 coherent",
+        "tiny-pluriharmonic", "tiny-non-diagonal",
     ])
     def test_refusals_exit_two(self, tmp_path, capsys, case):
         h1 = "[[[0.25, 0.0]]]"
@@ -451,6 +470,11 @@ class TestOracleCommand:
             "pluriharmonic": f"n: 1\nphi0:\n  hermitian: {h1}\n  pluriharmonic: [[[0.05, 0.0]]]\n",
             "non-diagonal": "n: 2\nphi0:\n  hermitian: [[[0.25, 0], [0.05, 0]], [[0.05, 0], [0.25, 0]]]\n",
             "n3": f"n: 3\nphi0:\n  hermitian: {h3}\n",
+            # the same refusals far below unit scale: the tests are relative to H
+            "tiny-pluriharmonic": "n: 1\nphi0:\n  hermitian: [[[1.0e-20, 0.0]]]\n"
+                                  "  pluriharmonic: [[[1.0e-22, 0.0]]]\n",
+            "tiny-non-diagonal": "n: 2\nphi0:\n  hermitian: [[[1.0e-20, 0], [5.0e-21, 0]], "
+                                 "[[5.0e-21, 0], [1.0e-20, 0]]]\n",
         }
         kind, _, arg = case.partition(" ")
         path = tmp_path / "p.yaml"

@@ -128,6 +128,13 @@ class TestSplit:
         assert w.herm_value(x) == pytest.approx(0.5)
         assert w.value(x) - w.herm_value(x) == pytest.approx(0.1 * (x[0] ** 2).real, abs=1e-15)
 
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_is_hermitian_is_scale_free(self, scale):
+        h = np.array([[0.25]])
+        assert Weight(scale * h, np.zeros((1, 1))).is_hermitian
+        assert Weight(scale * h, scale * np.array([[1e-16]])).is_hermitian
+        assert not Weight(scale * h, scale * np.array([[1e-3]])).is_hermitian
+
     def test_recomposition(self):
         rng = np.random.default_rng(6)
         h = _sym(rng, 2)
