@@ -15,6 +15,7 @@ import argparse
 import collections.abc
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -24,7 +25,6 @@ import time
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
-import yaml
 
 from .errors import InadmissibleProblem, NumericalFailure, OracleRefusal, ProblemFileError
 from .forms import ComplexQuadraticForm, Weight, classification_tolerance, parse_tolerance
@@ -36,13 +36,79 @@ EXIT_VERIFY_FAILURE = 1
 EXIT_INADMISSIBLE = 2
 EXIT_NUMERICAL = 3
 
-# libyaml's parser when this PyYAML build has it; both resolve YAML 1.1
-# tags the same way, the C one parses several times faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# the PyYAML loader class, set on PyYAML's first import (_yaml)
+_YAML_LOADER = None
 
 
 # ---------------------------------------------------------------------------
 # problem file IO
+
+# The canonical form: `key: value` lines of schema keys, nested keys at
+# indent 2, each value one number or a one-line flow sequence at most three
+# deep, every number a JSON number that YAML 1.1 resolves to the same int or
+# float.  Every number is followed by a delimiter and the nesting is spelled
+# out, so a match takes time linear in the line and json.loads never
+# recurses deeper than three.
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+][0-9]+)?)?"
+_VALUE = _NUMBER
+for _ in range(3):
+    _VALUE = rf"(?:{_NUMBER}|\[ *(?:{_VALUE} *(?:, *{_VALUE} *)*)?\])"
+_KEY_LINE = re.compile(
+    r"(  )?(n|phi0|hermitian|pluriharmonic|q|xx|xbarx|xbarxbar|tolerances|classification):"
+    rf"(?: +({_VALUE}))?(?: +#[ -~]*| *)")
+_BLANK_LINE = re.compile(r" *(?:#[ -~]*)?")
+
+
+def _read_canonical(text: str) -> dict | None:
+    """The document of ``text`` when it is in canonical form, else None.
+
+    Returns exactly what ``yaml.safe_load`` returns for such a text.  Any
+    other text, including a duplicate key, a key with neither a value nor
+    nested lines, and an integer past ``int``'s digit limit, gives None.
+    """
+    if not text.isascii() or not text.endswith("\n"):
+        return None
+    data, block = {}, None  # block: the nested mapping being filled
+    for line in text[:-1].split("\n"):
+        match = _KEY_LINE.fullmatch(line)
+        if match is None:
+            if _BLANK_LINE.fullmatch(line):
+                continue
+            return None
+        indent, key, value = match.groups()
+        if indent:
+            target = block
+        elif block == {}:  # the previous key has neither a value nor nested lines
+            return None
+        else:
+            target, block = data, None
+        if target is None or key in target:
+            return None
+        if value is not None:
+            try:
+                target[key] = json.loads(value)
+            except ValueError:  # an integer past int's digit limit
+                return None
+        elif indent:
+            return None
+        else:
+            block = target[key] = {}
+    if not data or block == {}:
+        return None
+    return data
+
+
+def _yaml():
+    """PyYAML, imported on first use: canonical files never need it."""
+    global _YAML_LOADER
+    import yaml
+
+    if _YAML_LOADER is None:
+        # libyaml's parser when this PyYAML build has it; both resolve YAML
+        # 1.1 tags the same way, the C one parses several times faster
+        _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    return yaml
+
 
 _FLOAT_TAG = "tag:yaml.org,2002:float"
 _SEQ_TAG = "tag:yaml.org,2002:seq"
@@ -53,6 +119,10 @@ _DECIMAL = re.compile(r"[-+]?(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 # problem files nest five deep; deeper nodes go to the loader's constructor,
 # which builds breadth-first and so needs no Python stack
 _WALK_DEPTH = 32
+# PyYAML composes recursively, libyaml's composer in C where some 4e4 levels
+# overflow the stack; problem files nest five deep, so deeper ones are
+# refused before composing
+_MAX_NESTING = 64
 _UNSET = object()
 
 
@@ -84,7 +154,7 @@ def _construct(loader, node, depth=0):
             for key_node, value_node in node.value:
                 key = _construct(loader, key_node, depth + 1)
                 if not isinstance(key, collections.abc.Hashable):
-                    raise yaml.constructor.ConstructorError(
+                    raise _yaml().constructor.ConstructorError(
                         "while constructing a mapping", node.start_mark,
                         "found unhashable key", key_node.start_mark)
                 data[key] = _construct(loader, value_node, depth + 1)
@@ -94,6 +164,7 @@ def _construct(loader, node, depth=0):
 
 def _load_yaml(stream):
     """``yaml.load(stream, Loader=_YAML_LOADER)``, built by one node walk."""
+    _yaml()
     loader = _YAML_LOADER(stream)
     try:
         node = loader.get_single_node()
@@ -178,6 +249,54 @@ def _file_tolerance(data) -> float | None:
         raise ProblemFileError(str(exc)) from exc
 
 
+def _too_deep(text: str) -> bool:
+    # a flow level opens on '{' or '[', and a '[' may hold one more, the
+    # single-pair mapping of an entry `k: v`; a block level starts at a
+    # deeper column than its parent, or at the same one for a sequence that
+    # is a mapping's value; so most files need no parse to rule it out
+    longest = max(map(len, text.split("\n")))
+    if 2 * text.count("[") + text.count("{") + 2 * longest <= _MAX_NESTING:
+        return False
+    yaml = _yaml()
+    depth = 0
+    try:
+        for event in yaml.parse(text, Loader=_YAML_LOADER):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > _MAX_NESTING:
+                    return True
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+    except yaml.YAMLError:
+        pass  # the load reports it
+    return False
+
+
+def _read_problem_data(path: str):
+    """The document of a problem file: canonical form, else PyYAML's."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ProblemFileError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # undecodable bytes
+        raise ProblemFileError(f"{path}: not valid YAML: {exc}") from exc
+    data = _read_canonical(text)
+    if data is not None:
+        return data
+    if _too_deep(text):
+        raise ProblemFileError(f"{path}: not valid YAML: nested deeper than {_MAX_NESTING} levels")
+    # a stream named like the file, so PyYAML's messages name it as before
+    stream = io.StringIO(text)
+    stream.name = path
+    yaml = _yaml()
+    try:
+        return _load_yaml(stream)
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: a tagged scalar such as !!float abc
+        raise ProblemFileError(f"{path}: not valid YAML: {exc}") from exc
+
+
 def load_problem(path: str) -> ToeplitzProblem:
     """Parse a YAML problem file into a problem instance.
 
@@ -185,14 +304,7 @@ def load_problem(path: str) -> ToeplitzProblem:
     problem's tolerance and governs its admissibility check and its
     classification.
     """
-    try:
-        with open(path) as fh:
-            data = _load_yaml(fh)
-    except OSError as exc:
-        raise ProblemFileError(f"cannot read {path}: {exc}") from exc
-    except (yaml.YAMLError, ValueError) as exc:
-        # ValueError: undecodable bytes, or a tagged scalar such as !!float abc
-        raise ProblemFileError(f"{path}: not valid YAML: {exc}") from exc
+    data = _read_problem_data(path)
     if not isinstance(data, dict):
         raise ProblemFileError(f"{path}: top level must be a mapping")
     if "n" not in data:

@@ -1,12 +1,16 @@
 import json
 import os
+import re
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import bargtop.cli as cli
+from bargtop import model
 from bargtop.cli import main, load_problem
 from bargtop.errors import ProblemFileError
 
@@ -97,6 +101,8 @@ class TestProblemFiles:
             tmp_path / "p.yaml", complex(-0.3, 0.1), a=0.02,
             extra="tolerances:\n  classification: 1.0e-7\n",
         )
+        # a canonical file: make both loaders read it
+        monkeypatch.setattr(cli, "_read_canonical", lambda text: None)
         loaded = []
         for loader in (yaml.CSafeLoader, yaml.SafeLoader):
             monkeypatch.setattr(cli, "_YAML_LOADER", loader)
@@ -280,6 +286,64 @@ class TestClassifyCommand:
         assert main(["classify", path]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "compact"
+
+
+def number_text(x):
+    # repr, with the '.' YAML 1.1 needs before an exponent
+    text = repr(float(x))
+    return text.replace("e", ".0e") if "e" in text and "." not in text else text
+
+
+def flow_matrix(m):
+    return "[" + ", ".join(
+        "[" + ", ".join(f"[{number_text(z.real)}, {number_text(z.imag)}]" for z in row) + "]"
+        for row in m) + "]"
+
+
+@st.composite
+def model_instances(draw):
+    """Admissible (lam, A) of the radial family at n = 1..3, A complex symmetric."""
+    n = draw(st.integers(1, 3))
+    lam = complex(draw(st.floats(-2.0, 0.2)), draw(st.floats(-1.0, 1.0)))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n * n, max_size=2 * n * n))
+    b = np.array(parts).view(complex).reshape(n, n)
+    a = b + b.T
+    norm = np.linalg.norm(a, 2)
+    if norm > 0:
+        a *= draw(st.floats(0.0, 0.95)) * (0.25 - lam.real) / norm
+    return model.ModelInstance(n, lam, a)
+
+
+class TestClosedFormThroughFiles:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(inst=model_instances())
+    def test_file_verdict_matches_closed_form(self, tmp_path, capsys, inst):
+        problem = model.model_problem(inst)
+        blocks = {"hermitian": problem.weight.h, "xbarx": problem.q.qxbx,
+                  "xbarxbar": problem.q.qxbxb}
+        flow = tmp_path / "flow.yaml"
+        flow.write_text(f"n: {inst.n}\nphi0:\n  hermitian: {flow_matrix(blocks['hermitian'])}\n"
+                        f"q:\n  xbarx: {flow_matrix(blocks['xbarx'])}\n"
+                        f"  xbarxbar: {flow_matrix(blocks['xbarxbar'])}\n")
+        block = tmp_path / "block.yaml"
+        pairs = {k: [[[z.real, z.imag] for z in row] for row in m.tolist()] for k, m in blocks.items()}
+        block.write_text(yaml.safe_dump(
+            {"n": inst.n, "phi0": {"hermitian": pairs["hermitian"]},
+             "q": {"xbarx": pairs["xbarx"], "xbarxbar": pairs["xbarxbar"]}},
+            default_flow_style=False))
+        assert cli._read_canonical(flow.read_text()) is not None
+        assert cli._read_canonical(block.read_text()) is None
+        outputs = []
+        for path in (flow, block):
+            assert main(["classify", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        timing = re.compile(r'"timing_seconds": [^,\n]+')
+        assert timing.sub("T", outputs[0]) == timing.sub("T", outputs[1])
+        report = json.loads(outputs[0])
+        closed = model.classify_model(inst)
+        event(f"{report['verdict']}, boundary {report['boundary']}")
+        if not report["boundary"] and closed.witnesses["model"].confident:
+            assert report["verdict"] == closed.verdict.value
 
 
 class TestScanCommand:

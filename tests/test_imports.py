@@ -1,9 +1,10 @@
 """The import graph of a fresh process.
 
-SciPy serves only the quadrature oracle and one verify suite, and the
-process pool only ``scan --workers N`` with N > 1; ``classify`` and a
-serial ``scan`` load neither. Each test starts its own interpreter, since
-the test process itself has long since imported both.
+SciPy serves only the quadrature oracle and one verify suite, the process
+pool only ``scan --workers N`` with N > 1, and PyYAML only problem files
+that are not in canonical form; ``classify`` of a canonical file and a
+serial ``scan`` load none of them. Each test starts its own interpreter,
+since the test process itself has long since imported all three.
 """
 
 import json
@@ -16,7 +17,7 @@ import pytest
 
 SRC = Path(__file__).parents[1] / "src"
 DATA = Path(__file__).parent / "data"
-LAZY = ("scipy", "concurrent.futures.process")
+LAZY = ("scipy", "concurrent.futures.process", "yaml")
 
 # imports the package's oracle re-exports, runs main(argv) and reports, as
 # its last stdout line, which LAZY modules it loaded
@@ -55,7 +56,23 @@ def test_oracle_loads_scipy_where_it_is_called(tmp_path):
     path = tmp_path / "p.yaml"
     path.write_text("n: 1\nphi0:\n  hermitian: [[[0.25, 0.0]]]\nq:\n  xbarx: [[[-0.5, 0.0]]]\n")
     result = run_main(["oracle", str(path), "--experiment", "trend", "-N", "5,10"])
-    assert result["rc"] == 0 and "scipy" in result["loaded"]
+    assert result["rc"] == 0 and result["loaded"] == ["scipy"]
+
+
+def test_block_style_file_loads_yaml(tmp_path):
+    # a Levi form written as block sequences: PyYAML reads it
+    path = tmp_path / "p.yaml"
+    path.write_text(
+        "n: 2\n"
+        "phi0:\n"
+        "  hermitian:\n"
+        "  - - [0.25, 0.0]\n"
+        "    - [0.0, 0.0]\n"
+        "  - - [0.0, 0.0]\n"
+        "    - [0.25, 0.0]\n"
+    )
+    result = run_main(["classify", str(path)])
+    assert result == {"rc": 0, "loaded": ["yaml"]}
 
 
 def test_verify_runs_from_module_entry_point():

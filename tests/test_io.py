@@ -1,8 +1,9 @@
 """Problem-file loading and report writing in the CLI.
 
-The loader builds libyaml's node graph in one walk and the writer formats
-complex arrays from templates; both must agree exactly with the PyYAML and
-``json`` calls they replace.
+Canonical problem files go through a strict reader of their own, every
+other file through libyaml's node graph built in one walk; the writer
+formats complex arrays from templates.  Each must agree exactly with the
+PyYAML and ``json`` calls it replaces.
 """
 
 import functools
@@ -17,7 +18,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import bargtop.cli as cli
 from bargtop.cli import main
@@ -152,6 +153,213 @@ class TestLoader:
         assert (depth, value) == (3000, 1.5)
 
 
+# ---------------------------------------------------------------------------
+# the canonical form: `key: value` lines, flow values of JSON-and-YAML numbers
+
+SCHEMA_KEYS = ["n", "phi0", "hermitian", "pluriharmonic", "q", "xx", "xbarx", "xbarxbar",
+               "tolerances", "classification"]
+
+
+def number_text(x):
+    """``x`` as a canonical number: repr, with the '.' YAML 1.1 needs before an exponent."""
+    text = repr(float(x))
+    if "e" in text and "." not in text:
+        mantissa, exponent = text.split("e")
+        text = f"{mantissa}.0e{exponent}"
+    return text
+
+
+spaces = st.sampled_from(["", " ", "  "])
+numbers = (
+    st.integers(-10**30, 10**30).map(str)
+    | st.floats(allow_nan=False, allow_infinity=False).map(number_text)
+    | st.sampled_from(["0", "-0", "0.0", "-0.0", "1.0e+400", "-1.0e+400", "5.0e-324",
+                       "0.10e-05", "7.5E+1", "123456789012345678901234567890.5"])
+)
+
+
+def flow(items):
+    def text(parts):
+        inner, pad = parts
+        return "[" + (",".join(a + v + b for a, v, b in inner) if inner else pad) + "]"
+    return st.tuples(st.lists(st.tuples(spaces, items, spaces), max_size=3), spaces).map(text)
+
+
+# one number, or a flow sequence at most three deep
+values = numbers
+for _ in range(3):
+    values = numbers | flow(values)
+trailers = st.sampled_from(["", " ", "   ", " # note", "  # [x]: &y !z 'q'", " #"])
+fillers = st.lists(st.sampled_from(["", "  ", "# note", "   # indented: [1]", "#"]), max_size=2)
+
+
+@st.composite
+def canonical_documents(draw):
+    """Text in canonical form, comments and blank lines included."""
+    lines = draw(fillers)
+    for key in draw(st.lists(st.sampled_from(SCHEMA_KEYS), min_size=1, max_size=5, unique=True)):
+        if draw(st.booleans()):
+            lines.append(f"{key}:{draw(st.sampled_from([' ', '  ']))}{draw(values)}{draw(trailers)}")
+        else:
+            lines.append(f"{key}:{draw(trailers)}")
+            nested = draw(st.lists(st.sampled_from(SCHEMA_KEYS), min_size=1, max_size=3, unique=True))
+            for inner in nested:
+                lines += draw(fillers)
+                lines.append(f"  {inner}: {draw(values)}{draw(trailers)}")
+        lines += draw(fillers)
+    return "".join(line + "\n" for line in lines)
+
+
+# text that YAML reads differently, or that the reader leaves to PyYAML
+FRAGMENTS = [
+    "1e-5", "1.0e5", ".5", "+1.0", "1.", "017", "0x1F", "1_000.5", "1E+5", "1:30", ".inf",
+    "[", "]", ",", " ", "#", " #", ":", "- ", "{", "}", "x", "e", "-", "0", "[[[[1]]]]",
+    "\t", "\r", "\r\n", "\ufeff", "\x85", "\u00e9", "&a ", "*a", "!!float ", "'", '"',
+    # line breaks to YAML 1.1, not to str.split("\n")
+    "\x85xx: [1]", "\u2028n: 2", "\u2029q: 3", "\rtolerances: 4",
+    "---\n", "...\n", "\n", "  ", "on: 1\n", "no:\n", "null: 2\n", "yes: [1]\n", "n:\n",
+    "q:\n", "  xx:\n", "%YAML 1.1\n",
+]
+
+
+@st.composite
+def mutated_documents(draw):
+    text = draw(canonical_documents())
+    kind = draw(st.sampled_from(["insert", "delete", "crlf", "unterminated", "duplicate"]))
+    if kind == "insert":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from(FRAGMENTS)) + text[at:]
+    if kind == "delete":
+        at = draw(st.integers(0, len(text) - 1))
+        return text[:at] + text[at + 1:]
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    if kind == "unterminated":
+        return text[:-1]
+    lines = text.splitlines(keepends=True)
+    at = draw(st.integers(0, len(lines) - 1))
+    return "".join(lines[:at + 1] + [lines[at]] + lines[at + 1:])
+
+
+def assert_reads_as_yaml(text):
+    """The reader returns None or, for every loader, exactly what yaml.load returns."""
+    data = cli._read_canonical(text)
+    if data is None:
+        return None
+    for loader in LOADERS:
+        assert canonical(data) == canonical(yaml.load(text, Loader=loader))
+    return data
+
+
+README_EXAMPLE = re.search(r"```yaml\n(.*?)```", (Path(__file__).parents[1] / "README.md").read_text(),
+                           re.DOTALL).group(1)
+
+
+class TestCanonicalReader:
+    @settings(max_examples=100, deadline=None)
+    @given(text=canonical_documents())
+    def test_accepts_the_grammar_as_yaml_reads_it(self, text):
+        assert assert_reads_as_yaml(text) is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=mutated_documents())
+    def test_mutations_read_as_yaml_or_fall_back(self, text):
+        event("read" if assert_reads_as_yaml(text) is not None else "left to PyYAML")
+
+    @pytest.mark.parametrize("text", [
+        "n: 1\nn: 2\n",
+        "q:\n  xx: [1]\n  xx: [2]\n",
+        "n: 1\nq:\n",
+        "q:\n# a comment, no entries\nn: 1\n",
+        "q:\n  xx:\n",
+        "",
+        "# only a comment\n",
+        "---\nn: 1\n",
+        "n: 1\n...\n",
+        "n: &a 1\n",
+        "n: !!int 1\n",
+        "n: '1'\n",
+        'n: "1"\n',
+        "n:\t1\n",
+        "\ufeffn: 1\n",
+        "n: 1\x85",
+        "n: 1 # c\x85q: [2]\n",
+        "n: 1 # c\u2028q: [2]\n",
+        "n: 1\r\nq:\r\n  xx: [1]\r\n",
+        "n: 1",
+        "xx: [[[[1]]]]\n",
+        "q:\n  xx:\n    xbarx: [1]\n",
+        "on: 1\n",
+        "null: 1\n",
+        "n:1\n",
+        "n: 1#c\n",
+        "n: 1 2\n",
+        "xx: [1, 2,]\n",
+        "xx: [1 2]\n",
+        "xx: [1]\n  xbarx: [2]\n",
+        " n: 1\n",
+        "   n: 1\n",
+    ] + [f"xx: [{number}]\n" for number in
+         ["1e-5", "1.0e5", ".5", "+1.0", "1.", "017", "0x1F", "1_000.5", "1.0E5", "1:30", "-.inf"]],
+    )
+    def test_leaves_other_text_to_pyyaml(self, text):
+        assert cli._read_canonical(text) is None
+
+    def test_readme_example_takes_the_strict_path(self):
+        assert "#" in README_EXAMPLE
+        data = assert_reads_as_yaml(README_EXAMPLE)
+        assert data is not None and data["tolerances"] == {"classification": 1e-9}
+
+    @pytest.mark.parametrize("text", [
+        "xx: [[[" + "1" * 10**5 + "x, 0.0]]]\n",
+        "xx: [[[" + "1" * 24 + "x, 0.0]]]\n",
+        "xx: " + "[" * 10**5 + "]" * 10**5 + "\n",
+        "xx: " + "[1, " * 10**5 + "\n",
+        "xx: [[[1" + "0" * 4300 + ", 0.0]]]\n",
+    ], ids=["digit-run", "backtracking", "nesting", "unclosed", "int-digit-limit"])
+    def test_linear_time_on_hostile_values(self, text):
+        start = time.perf_counter()
+        assert cli._read_canonical(text) is None
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 3), data=st.data())
+    def test_load_problem_is_the_same_on_both_paths(self, tmp_path, loader, n, data):
+        def matrix():
+            entry = st.tuples(numbers, numbers).map(lambda p: f"[{p[0]}, {p[1]}]")
+            row = st.lists(entry, min_size=n, max_size=n).map(lambda r: "[" + ", ".join(r) + "]")
+            return st.lists(row, min_size=n, max_size=n).map(lambda m: "[" + ", ".join(m) + "]")
+
+        text = f"n: {n}\nphi0:\n  hermitian: {data.draw(matrix())}\n"
+        if data.draw(st.booleans()):
+            text += f"  pluriharmonic: {data.draw(matrix())}\n"
+        blocks = data.draw(st.lists(st.sampled_from(["xx", "xbarx", "xbarxbar"]), unique=True))
+        if blocks:
+            text += "q:\n" + "".join(f"  {k}: {data.draw(matrix())}\n" for k in blocks)
+        if data.draw(st.booleans()):
+            text += f"tolerances:\n  classification: {data.draw(numbers)}\n"
+        path = tmp_path / "p.yaml"
+        path.write_text(text)
+        assert cli._read_canonical(text) is not None
+        with mock.patch.object(cli, "_YAML_LOADER", loader):
+            strict = problem_outcome(str(path))
+            with mock.patch.object(cli, "_read_canonical", return_value=None):
+                fallback = problem_outcome(str(path))
+        assert strict == fallback
+
+
+def problem_outcome(path):
+    """The problem's matrices as float bits and its tolerance, or the exception raised."""
+    try:
+        problem = cli.load_problem(path)
+    except Exception as exc:  # extreme draws also fail past the reader, the same way
+        return (type(exc).__name__, str(exc))
+    blocks = (problem.weight.h, problem.weight.p, problem.q.qxx, problem.q.qxbx, problem.q.qxbxb)
+    return ("ok", [b.view(np.int64).tolist() for b in blocks], repr(problem.tol))
+
+
 def reference_matrix(rows, n, where):
     # the per-entry conversion the array path replaces
     if not isinstance(rows, list) or len(rows) != n:
@@ -254,6 +462,45 @@ class TestHostileFiles:
         assert time.perf_counter() - start < 5.0
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        "n: 1\nphi0:\n  hermitian: [[[" + "1" * 10**5 + "x, 0.0]]]\n",
+        "n: 1\nphi0:\n  hermitian: " + "[" * 10**5 + "]" * 10**5 + "\n",
+        "n: 1\nphi0:\n  hermitian: " + "[" * 10**5 + "\n",
+        "n: 1\nphi0:\n  hermitian: [[[1" + "0" * 4300 + ", 0.0]]]\n",
+        "n: 1\nphi0:\n  hermitian:\n    " + "- " * 10**5 + "1\n",
+    ], ids=["digit-run", "nesting", "unclosed-nesting", "int-digit-limit", "block-nesting"])
+    def test_near_canonical_exit_two_like_pyyaml(self, tmp_path, capsys, text):
+        # the strict reader leaves these to PyYAML, which must not recurse
+        # into libyaml's composer or a Python RecursionError
+        path = tmp_path / "p.yaml"
+        path.write_text(text)
+        outcomes = []
+        for strict in (True, False):
+            with mock.patch.object(cli, "_read_canonical",
+                                   cli._read_canonical if strict else (lambda text: None)):
+                start = time.perf_counter()
+                rc = main(["classify", str(path)])
+                assert time.perf_counter() - start < 5.0
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            outcomes.append((rc, err))
+        assert outcomes[0] == outcomes[1] and outcomes[0][0] == 2
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("value", [
+        " " + "[" * 400 + "]" * 400 + "\n",
+        "\n" + "    [a:\n" * 40 + "    1\n" + "    ]\n" * 40,
+    ], ids=["brackets", "flow-pairs"])
+    def test_nesting_limit_holds_for_every_loader(self, tmp_path, capsys, loader, value):
+        # the pure-Python composer recurses in Python: 400 levels would
+        # otherwise end in RecursionError; each `[a:` opens two levels
+        path = tmp_path / "p.yaml"
+        path.write_text("n: 1\nphi0:\n  hermitian:" + value)
+        with mock.patch.object(cli, "_YAML_LOADER", loader):
+            assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: not valid YAML: nested deeper than 64 levels\n"
 
     @pytest.mark.parametrize("alias", ["c", "i"])
     def test_bomb_tolerance_message_is_short(self, tmp_path, capsys, alias):
