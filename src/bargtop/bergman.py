@@ -28,7 +28,7 @@ from .forms import (
     realify,
 )
 from .symplectic import LinearCanonicalMap, QuadraticPhase, canonical_from_phase
-from .toeplitz import SubVerdict, ToeplitzProblem, VerdictClass
+from .toeplitz import DEFINITENESS_VERDICT, SubVerdict, ToeplitzProblem
 
 __all__ = [
     "CriticalSystem",
@@ -239,9 +239,4 @@ def growth_subverdict(f: BergmanForm, weight: Weight, tol=None) -> SubVerdict:
     """
     _require_hermitian_weight(weight, "the growth criterion")
     label, margin, scale = classify_real_form(_growth_gap_matrix(f, weight), tol)
-    verdict = {
-        "definite": VerdictClass.COMPACT,
-        "semidefinite": VerdictClass.BOUNDED_NOT_COMPACT,
-        "indefinite": VerdictClass.UNBOUNDED,
-    }[label]
-    return SubVerdict("bergman", verdict, margin, scale)
+    return SubVerdict("bergman", DEFINITENESS_VERDICT[label], margin, scale)

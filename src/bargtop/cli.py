@@ -12,10 +12,8 @@ failure or verdict disagreement.
 from __future__ import annotations
 
 import argparse
-import collections.abc
 import csv
 import functools
-import io
 import json
 import math
 import os
@@ -110,76 +108,10 @@ def _yaml():
     return yaml
 
 
-_FLOAT_TAG = "tag:yaml.org,2002:float"
-_SEQ_TAG = "tag:yaml.org,2002:seq"
-_MAP_TAG = "tag:yaml.org,2002:map"
-# float-tagged text that float() reads exactly as the YAML constructor does:
-# no '_', no sexagesimal ':', no .inf/.nan
-_DECIMAL = re.compile(r"[-+]?(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
-# problem files nest five deep; deeper nodes go to the loader's constructor,
-# which builds breadth-first and so needs no Python stack
-_WALK_DEPTH = 32
 # PyYAML composes recursively, libyaml's composer in C where some 4e4 levels
 # overflow the stack; problem files nest five deep, so deeper ones are
 # refused before composing
 _MAX_NESTING = 64
-_UNSET = object()
-
-
-def _construct(loader, node, depth=0):
-    """Build ``node`` as ``loader.construct_object`` would, in one walk.
-
-    Plain decimal floats go straight to ``float``; plain sequences and
-    mappings are built here, mappings after ``flatten_mapping`` so merge
-    keys and duplicate keys behave as in the loader. Everything else goes
-    to the loader's constructor. Results are memoized by node identity in
-    the loader's own table, so aliases (recursive ones too) resolve to one
-    object.
-    """
-    tag = node.tag
-    if tag == _FLOAT_TAG and node.id == "scalar" and _DECIMAL.fullmatch(node.value):
-        return float(node.value)
-    memo = loader.constructed_objects
-    data = memo.get(node, _UNSET)
-    if data is not _UNSET:
-        return data
-    if depth < _WALK_DEPTH:
-        if tag == _SEQ_TAG and node.id == "sequence":
-            data = memo[node] = []
-            data.extend([_construct(loader, child, depth + 1) for child in node.value])
-            return data
-        if tag == _MAP_TAG and node.id == "mapping":
-            data = memo[node] = {}
-            loader.flatten_mapping(node)
-            for key_node, value_node in node.value:
-                key = _construct(loader, key_node, depth + 1)
-                if not isinstance(key, collections.abc.Hashable):
-                    raise _yaml().constructor.ConstructorError(
-                        "while constructing a mapping", node.start_mark,
-                        "found unhashable key", key_node.start_mark)
-                data[key] = _construct(loader, value_node, depth + 1)
-            return data
-    return loader.construct_object(node)
-
-
-def _load_yaml(stream):
-    """``yaml.load(stream, Loader=_YAML_LOADER)``, built by one node walk."""
-    _yaml()
-    loader = _YAML_LOADER(stream)
-    try:
-        node = loader.get_single_node()
-        if node is None:
-            return None
-        data = _construct(loader, node)
-        # nodes handed to the loader's constructor may still be filling in
-        while loader.state_generators:
-            generators, loader.state_generators = loader.state_generators, []
-            for generator in generators:
-                for _ in generator:
-                    pass
-        return data
-    finally:
-        loader.dispose()
 
 
 def _numeric_string(value) -> bool:
@@ -286,15 +218,16 @@ def _read_problem_data(path: str):
         return data
     if _too_deep(text):
         raise ProblemFileError(f"{path}: not valid YAML: nested deeper than {_MAX_NESTING} levels")
-    # a stream named like the file, so PyYAML's messages name it as before
-    stream = io.StringIO(text)
-    stream.name = path
     yaml = _yaml()
     try:
-        return _load_yaml(stream)
+        return yaml.load(text, Loader=_YAML_LOADER)
     except (yaml.YAMLError, ValueError) as exc:
-        # ValueError: a tagged scalar such as !!float abc
-        raise ProblemFileError(f"{path}: not valid YAML: {exc}") from exc
+        # one line: the problem and where PyYAML marks it; a ReaderError, and
+        # the ValueError of a tagged scalar such as !!float abc, have no mark
+        mark = getattr(exc, "problem_mark", None)
+        problem = str(exc).split("\n")[0] if mark is None else (
+            f"{exc.problem} (line {mark.line + 1}, column {mark.column + 1})")
+        raise ProblemFileError(f"{path}: not valid YAML: {problem}") from exc
 
 
 def load_problem(path: str) -> ToeplitzProblem:

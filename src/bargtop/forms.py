@@ -44,6 +44,7 @@ __all__ = [
     "realify",
     "real_part_matrix",
     "classify_real_form",
+    "classify_eigenvalues",
 ]
 
 _SYM_TOL = 1e-12
@@ -156,9 +157,13 @@ def classify_real_form(mat, tol=None):
     ``"definite"``, ``"semidefinite"``, ``"indefinite"``.  Eigenvalues
     within ``tol*scale`` of zero count as zero.
     """
+    return classify_eigenvalues(np.linalg.eigvalsh(np.asarray(mat, dtype=float)), tol)
+
+
+def classify_eigenvalues(eigs, tol=None):
+    """:func:`classify_real_form` of a matrix with ascending eigenvalues ``eigs``."""
     if tol is None:
         tol = classification_tolerance()
-    eigs = np.linalg.eigvalsh(np.asarray(mat, dtype=float))
     scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     margin = float(eigs[0]) if eigs.size else 0.0
     band = tol * scale
@@ -181,14 +186,16 @@ def _finite(mat, name):
     return mat
 
 
-def _check_symmetric(mat, name):
+def _check_symmetric(mat, name, hermitian=False):
+    # halves first: a sum, difference or modulus of entries near the float
+    # maximum overflows, that of their halves does not
     mat = _finite(mat, name)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
-    scale = np.max(np.abs(mat)) + 1.0
-    if np.max(np.abs(mat - mat.T)) > _SYM_TOL * scale:
-        raise ValueError(f"{name} must be symmetric")
-    return (mat + mat.T) / 2.0
+    half, half_t = mat / 2.0, (mat.conj() if hermitian else mat).T / 2.0
+    if np.max(np.abs(half - half_t)) > _SYM_TOL * (np.max(np.abs(half)) + 0.5):
+        raise ValueError(f"{name} must be {'Hermitian' if hermitian else 'symmetric'}")
+    return half + half_t
 
 
 @dataclass
@@ -260,14 +267,8 @@ class Weight:
     p: np.ndarray
 
     def __post_init__(self):
-        self.h = _finite(self.h, "h")
+        self.h = _check_symmetric(self.h, "h", hermitian=True)
         n = self.h.shape[0]
-        if self.h.shape != (n, n):
-            raise ValueError("h must be square")
-        scale = np.max(np.abs(self.h)) + 1.0
-        if np.max(np.abs(self.h - self.h.conj().T)) > _SYM_TOL * scale:
-            raise ValueError("h must be Hermitian")
-        self.h = (self.h + self.h.conj().T) / 2.0
         eigs = np.linalg.eigvalsh(self.h)
         if eigs[0] <= _DEGENERACY_TOL * eigs[-1]:
             raise ValueError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionResidual, DegeneratePhase, NumericalFailure
-from .forms import Weight, classify_real_form, interleave
+from .forms import Weight, classify_eigenvalues, interleave, realify
 
 __all__ = [
     "PhasePoint",
@@ -249,19 +249,6 @@ def canonical_from_phase(phase: QuadraticPhase) -> LinearCanonicalMap:
     return LinearCanonicalMap(np.vstack([x_of, xi_of]))
 
 
-def _hermitian_form_realification(w: np.ndarray) -> np.ndarray:
-    """Real symmetric matrix of rho -> rho^T W conj(rho) (W Hermitian) in
-    interleaved coordinates."""
-    wr, wi = w.real, w.imag
-    m = w.shape[0]
-    block = np.block([[wr, wi], [-wi, wr]])
-    # permute (u_1..u_m, v_1..v_m) -> (u_1, v_1, u_2, v_2, ...)
-    perm = np.empty(2 * m, dtype=int)
-    perm[0::2] = np.arange(m)
-    perm[1::2] = np.arange(m) + m
-    return block[np.ix_(perm, perm)]
-
-
 @dataclass
 class PositivityCertificate:
     """The real quadratic form rho -> (1/i)(sigma(K rho, iota K rho) -
@@ -305,8 +292,9 @@ def positivity_certificate(
             f"certificate form has imaginary residue {herm_res:.3e}; inputs are inconsistent"
         )
     w = (w + w.conj().T) / 2.0
-    pmat = _hermitian_form_realification(w)
-    pmat = (pmat + pmat.T) / 2.0
+    # rho^T W conj(rho) = conj(rho).W^T rho
+    zero = np.zeros_like(w)
+    pmat = realify(zero, w.T, zero)
     eigs = np.linalg.eigvalsh(pmat)
-    label, margin, scale = classify_real_form(pmat, tol)
+    label, margin, scale = classify_eigenvalues(eigs, tol)
     return PositivityCertificate(pmat, eigs, label, margin, scale, herm_res)

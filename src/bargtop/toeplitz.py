@@ -45,6 +45,7 @@ __all__ = [
     "SubVerdict",
     "Verdict",
     "AGREEMENT_BAND",
+    "DEFINITENESS_VERDICT",
     "build_phase",
     "canonical_map",
     "classify_operator",
@@ -134,6 +135,16 @@ class VerdictClass(enum.Enum):
     UNBOUNDED = "unbounded"
     BOUNDED_NOT_COMPACT = "bounded_not_compact"
     COMPACT = "compact"
+
+
+#: What each route's real quadratic form says by its definiteness label
+#: (:func:`forms.classify_real_form`): definite is compactness, semidefinite
+#: boundedness without it, indefinite unboundedness.
+DEFINITENESS_VERDICT = {
+    "definite": VerdictClass.COMPACT,
+    "semidefinite": VerdictClass.BOUNDED_NOT_COMPACT,
+    "indefinite": VerdictClass.UNBOUNDED,
+}
 
 
 @dataclass
@@ -227,15 +238,6 @@ def _file_coordinates(problem: ToeplitzProblem, kappa: LinearCanonicalMap,
     )
 
 
-def _certificate_subverdict(cert: PositivityCertificate) -> SubVerdict:
-    label_map = {
-        "definite": VerdictClass.COMPACT,
-        "semidefinite": VerdictClass.BOUNDED_NOT_COMPACT,
-        "indefinite": VerdictClass.UNBOUNDED,
-    }
-    return SubVerdict("certificate", label_map[cert.classification], cert.margin, cert.scale)
-
-
 def classify_operator(problem: ToeplitzProblem) -> Verdict:
     """Classify the operator as unbounded, bounded, or compact.
 
@@ -262,7 +264,8 @@ def classify_operator(problem: ToeplitzProblem) -> Verdict:
     normal = problem.normal
     kappa = canonical_map(normal)
     cert = positivity_certificate(kappa, _involution_closed_hermitian(normal.weight.h), tol)
-    witnesses = {"certificate": _certificate_subverdict(cert)}
+    witnesses = {"certificate": SubVerdict(
+        "certificate", DEFINITENESS_VERDICT[cert.classification], cert.margin, cert.scale)}
 
     symbol = weyl.weyl_symbol(normal)
     witnesses["weyl"] = weyl.symbol_subverdict(symbol, tol)

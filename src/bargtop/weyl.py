@@ -23,7 +23,7 @@ from .forms import (
     classify_real_form,
     real_part_matrix,
 )
-from .toeplitz import SubVerdict, ToeplitzProblem, VerdictClass
+from .toeplitz import DEFINITENESS_VERDICT, SubVerdict, ToeplitzProblem
 
 __all__ = ["WeylSymbol", "SymbolClassification", "weyl_symbol", "classify_symbol", "symbol_subverdict"]
 
@@ -100,10 +100,5 @@ def classify_symbol(symbol: WeylSymbol, tol=None) -> SymbolClassification:
 
 
 def symbol_subverdict(symbol: WeylSymbol, tol=None) -> SubVerdict:
-    cls = classify_symbol(symbol, tol)
-    verdict = {
-        "vanishing_at_infinity": VerdictClass.COMPACT,
-        "bounded_not_vanishing": VerdictClass.BOUNDED_NOT_COMPACT,
-        "unbounded": VerdictClass.UNBOUNDED,
-    }[cls.label]
-    return SubVerdict("weyl", verdict, cls.margin, cls.scale)
+    label, margin, scale = classify_real_form(-real_part_matrix(symbol.g), tol)
+    return SubVerdict("weyl", DEFINITENESS_VERDICT[label], margin, scale)

@@ -1,17 +1,18 @@
 """Problem-file loading and report writing in the CLI.
 
-Canonical problem files go through a strict reader of their own, every
-other file through libyaml's node graph built in one walk; the writer
-formats complex arrays from templates.  Each must agree exactly with the
-PyYAML and ``json`` calls it replaces.
+Canonical problem files go through a strict reader of their own and every
+other file through one ``yaml.load``; the whole read path must give what
+``yaml.load`` gives, or one ``error:`` line naming the file and, where
+PyYAML marks it, the line and column.  The writer formats complex arrays
+from templates and must agree exactly with ``json.dumps``.
 """
 
 import functools
-import io
 import json
 import math
 import re
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -38,6 +39,22 @@ EDGE_SCALARS = [
 KEYS = ["a", "b", "c", "1", "1.5", "~", "yes"]
 
 
+# texts that PyYAML reads recursively or refuses
+LOADER_CASES = [
+    "a: &a {b: *a}\n",
+    "a: &a [1, *a]\n",
+    "a: &a {<<: *a, b: 1}\n",
+    "a: {<<: 1}\n",
+    "a: {[1, 2]: 3}\n",
+    "a: !!float abc\n",
+    "a: [1, 2\n",
+    "---\na: 1\n---\nb: 2\n",
+    "",
+]
+LOADER_CASE_IDS = ["recursive-map", "recursive-seq", "self-merge", "bad-merge", "unhashable-key",
+                   "bad-float-tag", "unclosed", "two-documents", "empty"]
+
+
 def canonical(obj, seen=None):
     """A comparable form that keeps types, float bits and alias sharing."""
     seen = {} if seen is None else seen
@@ -51,15 +68,25 @@ def canonical(obj, seen=None):
     return (type(obj).__name__, repr(obj))
 
 
-def load_both(text, loader):
-    """(walk result, yaml.load result); an exception stands for its type and text."""
+def read_both(tmp_path, text, loader):
+    """(read path result, yaml.load result); a failure stands for its type.
+
+    The read path must fail exactly where ``yaml.load`` does, with one
+    line that names the file.
+    """
+    path = tmp_path / "p.yaml"
+    path.write_text(text)
     out = []
-    for load in (cli._load_yaml, lambda s: yaml.load(s, Loader=loader)):
-        try:
-            with mock.patch.object(cli, "_YAML_LOADER", loader):
-                out.append(canonical(load(io.StringIO(text))))
-        except (yaml.YAMLError, ValueError) as exc:
-            out.append((type(exc).__name__, str(exc)))
+    try:
+        with mock.patch.object(cli, "_YAML_LOADER", loader):
+            out.append(canonical(cli._read_problem_data(str(path))))
+    except ProblemFileError as exc:
+        assert str(exc).startswith(f"{path}: not valid YAML: ") and "\n" not in str(exc)
+        out.append("error")
+    try:
+        out.append(canonical(yaml.load(text, Loader=loader)))
+    except (yaml.YAMLError, ValueError):
+        out.append("error")
     return out
 
 
@@ -96,15 +123,18 @@ def documents(draw):
 
 
 class TestLoader:
-    @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
-    @settings(max_examples=100, deadline=None)
-    @given(text=documents())
-    def test_walk_equals_yaml_load(self, loader, text):
-        walked, loaded = load_both(text, loader)
-        assert walked == loaded
+    """The whole read path (strict reader, nesting guard, ``yaml.load``) of
+    non-canonical text, with either loader."""
 
     @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
-    def test_edge_scalars_and_structures(self, loader):
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=documents())
+    def test_reads_as_yaml_load(self, tmp_path, loader, text):
+        read, loaded = read_both(tmp_path, text, loader)
+        assert read == loaded
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+    def test_edge_scalars_and_structures(self, tmp_path, loader):
         scalars = ", ".join(EDGE_SCALARS)
         text = (
             f"all: &all [{scalars}]\n"
@@ -115,42 +145,39 @@ class TestLoader:
             "same: *all\n"
             "same: [*base, *more]\n"
         )
-        walked, loaded = load_both(text, loader)
-        assert walked == loaded
+        read, loaded = read_both(tmp_path, text, loader)
+        assert read == loaded
+        path = tmp_path / "p.yaml"
         with mock.patch.object(cli, "_YAML_LOADER", loader):
-            data = cli._load_yaml(io.StringIO(text))
+            data = cli._read_problem_data(str(path))
         assert data["one"] == {"x": -2.5, "y": data["all"], "w": 1}
         assert data["base"]["y"] is data["all"]
         assert [type(v).__name__ for v in data["all"][:8]] == ["str"] * 2 + ["float"] * 6
 
     @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
-    @pytest.mark.parametrize("text", [
-        "a: &a {b: *a}\n",
-        "a: &a [1, *a]\n",
-        "a: &a {<<: *a, b: 1}\n",
-        "a: {<<: 1}\n",
-        "a: {[1, 2]: 3}\n",
-        "a: !!float abc\n",
-        "a: [1, 2\n",
-        "---\na: 1\n---\nb: 2\n",
-        "",
-    ], ids=["recursive-map", "recursive-seq", "self-merge", "bad-merge", "unhashable-key",
-            "bad-float-tag", "unclosed", "two-documents", "empty"])
-    def test_recursion_and_errors(self, loader, text):
-        walked, loaded = load_both(text, loader)
-        assert walked == loaded
+    @pytest.mark.parametrize("text", LOADER_CASES, ids=LOADER_CASE_IDS)
+    def test_recursion_and_errors(self, tmp_path, loader, text):
+        read, loaded = read_both(tmp_path, text, loader)
+        assert read == loaded
 
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="this PyYAML build has no libyaml")
-    def test_nesting_deeper_than_the_stack(self):
-        # libyaml composes 3000 levels; the walk hands deep nodes to the
-        # loader's breadth-first constructor instead of recursing
-        text = "a: " + "[" * 3000 + "1.5" + "]" * 3000 + "\n"
+    def test_nesting_deeper_than_the_stack(self, tmp_path):
+        # libyaml would compose 3000 levels; the guard refuses them first
+        path = tmp_path / "p.yaml"
+        path.write_text("a: " + "[" * 3000 + "1.5" + "]" * 3000 + "\n")
         with mock.patch.object(cli, "_YAML_LOADER", yaml.CSafeLoader):
-            value = cli._load_yaml(io.StringIO(text))["a"]
-        depth = 0
-        while isinstance(value, list) and len(value) == 1:
-            value, depth = value[0], depth + 1
-        assert (depth, value) == (3000, 1.5)
+            with pytest.raises(ProblemFileError, match="nested deeper than 64 levels"):
+                cli._read_problem_data(str(path))
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+    def test_syntax_error_is_one_line(self, tmp_path, capsys, loader):
+        path = tmp_path / "p.yaml"
+        path.write_text("n: 1\nphi0: [1\n")
+        with mock.patch.object(cli, "_YAML_LOADER", loader):
+            assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(str(path))}: not valid YAML: "
+                            r"[^\n]*'\]'[^\n]* \(line 3, column 1\)\n", err)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +349,6 @@ class TestCanonicalReader:
         assert cli._read_canonical(text) is None
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(n=st.integers(1, 3), data=st.data())
@@ -355,6 +381,7 @@ def problem_outcome(path):
     try:
         problem = cli.load_problem(path)
     except Exception as exc:  # extreme draws also fail past the reader, the same way
+        assert not isinstance(exc, Warning), exc  # raised under filterwarnings = error
         return (type(exc).__name__, str(exc))
     blocks = (problem.weight.h, problem.weight.p, problem.q.qxx, problem.q.qxbx, problem.q.qxbxb)
     return ("ok", [b.view(np.int64).tolist() for b in blocks], repr(problem.tol))
@@ -452,8 +479,8 @@ class TestHostileFiles:
         BOMB + "n: 9\nphi0:\n  hermitian: *h\n",
         BOMB + "n: 1\nphi0:\n  hermitian: [[*i]]\n",
         "n: !!int abc\nphi0:\n  hermitian: [[[0.25, 0.0]]]\n",
-    ], ids=["recursive-mapping", "recursive-sequence", "bomb", "bomb-matrix", "bomb-entry",
-            "bad-int-tag"])
+    ] + LOADER_CASES[2:], ids=["recursive-mapping", "recursive-sequence", "bomb", "bomb-matrix",
+                               "bomb-entry", "bad-int-tag"] + LOADER_CASE_IDS[2:])
     def test_exit_two_in_bounded_time(self, tmp_path, capsys, text):
         path = tmp_path / "p.yaml"
         path.write_text(text)
@@ -462,6 +489,22 @@ class TestHostileFiles:
         assert time.perf_counter() - start < 5.0
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("first, refusal", [
+        ("0, 0", "weight is not strictly plurisubharmonic"),
+        ("1, 0", "weight is not strictly plurisubharmonic"),
+        ("1.7e+308, 1.7e+308", "h must be Hermitian"),
+    ], ids=["zero", "one", "imaginary-diagonal"])
+    def test_levi_form_near_the_float_maximum(self, tmp_path, capsys, first, refusal):
+        # H + H^H, H - H^H and |H| overflow to inf before any halving
+        path = tmp_path / "p.yaml"
+        path.write_text(f"n: 2\nphi0:\n  hermitian: [[[{first}], [0, 0]], "
+                        "[[0, 0], [8.98846567431158e+307, 0]]]\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {refusal}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("text", [
         "n: 1\nphi0:\n  hermitian: [[[" + "1" * 10**5 + "x, 0.0]]]\n",

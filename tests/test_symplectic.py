@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bargtop.errors import DegeneratePhase
-from bargtop.forms import ComplexQuadraticForm, Weight
+from bargtop.forms import ComplexQuadraticForm, Weight, classify_real_form
 from bargtop.symplectic import (
     AntilinearInvolution,
     LinearCanonicalMap,
@@ -260,6 +260,10 @@ class TestPositivityCertificate:
             direct = (symplectic_product(img, iota.apply(img))
                       - symplectic_product(rho, iota.apply(rho))) / 1j
             assert cert.value(rho) == pytest.approx(direct.real, rel=1e-10, abs=1e-10)
+        # one eigendecomposition, labelled as the matrix itself is
+        assert np.array_equal(cert.pmat, cert.pmat.T)
+        assert np.array_equal(cert.eigenvalues, np.linalg.eigvalsh(cert.pmat))
+        assert (cert.classification, cert.margin, cert.scale) == classify_real_form(cert.pmat)
 
     def test_j_matrix_convention(self):
         j = symplectic_form_matrix(2)

@@ -7,7 +7,7 @@ from bargtop.model import ModelInstance, model_problem
 from bargtop.oracle import numeric_weyl
 from bargtop.toeplitz import ToeplitzProblem, VerdictClass, classify_operator
 from bargtop.verify import random_admissible_lambda, random_admissible_problem
-from bargtop.weyl import classify_symbol, weyl_symbol
+from bargtop.weyl import classify_symbol, symbol_subverdict, weyl_symbol
 
 
 def scalar_problem(lam):
@@ -69,6 +69,17 @@ class TestEquivalences:
             gamma = 1 / (1 - 2 * lam)
             want = "vanishing_at_infinity" if abs(gamma) < 1 else "unbounded"
             assert label == want
+
+    @pytest.mark.parametrize("lam", [-0.5, 0.0, 0.2])
+    def test_subverdict_reads_the_same_label(self, lam):
+        symbol = weyl_symbol(scalar_problem(lam))
+        cls, sub = classify_symbol(symbol), symbol_subverdict(symbol)
+        assert (cls.margin, cls.scale) == (sub.margin, sub.scale)
+        assert sub.verdict is {
+            "vanishing_at_infinity": VerdictClass.COMPACT,
+            "bounded_not_vanishing": VerdictClass.BOUNDED_NOT_COMPACT,
+            "unbounded": VerdictClass.UNBOUNDED,
+        }[cls.label]
 
     def test_arithmetic_equivalence(self):
         # |2 lam - 1| >= 1  <=>  Re(lam/(1-lam)) <= 0
