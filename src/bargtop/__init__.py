@@ -48,8 +48,6 @@ from .toeplitz import (
     ToeplitzProblem,
     Verdict,
     VerdictClass,
-    build_phase,
-    canonical_map,
     classify_operator,
 )
 from .weyl import WeylSymbol, classify_symbol, weyl_symbol
@@ -58,7 +56,6 @@ from .bergman import (
     CriticalSystem,
     bergman_exponent,
     coherent_overlap,
-    coherent_route_map,
     critical_system,
     growth_exponent,
 )
@@ -78,5 +75,6 @@ from .oracle import (
     singular_decay,
     truncated_matrix,
 )
+from .verify import build_phase, canonical_map, coherent_route_map
 
 __version__ = "0.1.0"

@@ -9,7 +9,9 @@ variables (y, theta):
                               + 2 Psi(y,z) - 2 Psi(y,theta) ).
 
 The critical point solves a 2n x 2n block linear system; all growth
-criteria reduce to definiteness of real quadratic forms built from f.
+criteria reduce to definiteness of real quadratic forms built from f.  It is
+solved at the normal form H = I/4 and taken back to the problem's
+coordinates by f(x, z) = f'(M x, conj(M) z).
 """
 
 from __future__ import annotations
@@ -21,21 +23,22 @@ import numpy as np
 
 from .errors import SingularSystem
 from .forms import (
+    ComplexQuadraticForm,
     Weight,
+    _model_weight,
     classification_tolerance,
     classify_real_form,
     interleave,
     realify,
 )
-from .symplectic import LinearCanonicalMap, QuadraticPhase, canonical_from_phase
-from .toeplitz import DEFINITENESS_VERDICT, SubVerdict, ToeplitzProblem
+from .toeplitz import DEFINITENESS_VERDICT, SubVerdict, ToeplitzProblem, _exponent_to_file
 
 __all__ = [
     "CriticalSystem",
     "BergmanForm",
     "critical_system",
     "bergman_exponent",
-    "coherent_route_map",
+    "normal_exponent",
     "coherent_overlap",
     "growth_exponent",
     "growth_subverdict",
@@ -60,37 +63,44 @@ class CriticalSystem:
     h: np.ndarray
     margins: dict = field(default_factory=dict)
 
-    @property
-    def n(self) -> int:
-        return self.h.shape[0]
+
+def _system_matrix(h: np.ndarray, q: ComplexQuadraticForm) -> np.ndarray:
+    n = h.shape[0]
+    amat = np.empty((2 * n, 2 * n), dtype=complex)
+    amat[:n, :n], amat[:n, n:] = 2.0 * h - q.qxbx, -q.qxbxb
+    amat[n:, :n], amat[n:, n:] = -q.qxx, 2.0 * h.T - q.qxbx.T
+    return amat
 
 
-def critical_system(problem: ToeplitzProblem) -> CriticalSystem:
-    """Assemble and sanity-check the critical-point system."""
-    problem.require_admissible()
-    _require_hermitian_weight(problem.weight, "the coherent-state exponent")
-    h = problem.weight.h
-    q = problem.q
-    amat = np.block([
-        [2.0 * h - q.qxbx, -q.qxbxb],
-        [-q.qxx, 2.0 * h.T - q.qxbx.T],
-    ])
+def _rel_inv_margin(m: np.ndarray) -> float:
+    sv = np.linalg.svd(m, compute_uv=False)
+    return float(sv[-1] / max(sv[0], 1e-300))
 
-    def rel_inv_margin(m):
-        sv = np.linalg.svd(m, compute_uv=False)
-        return float(sv[-1] / max(sv[0], 1e-300))
 
-    margins = {"system": rel_inv_margin(amat), "a11": rel_inv_margin(2.0 * h - q.qxbx)}
+def _checked_inverse(amat: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The inverse of the critical system and its three margins; raises
+    :class:`SingularSystem` when one of them is 1e-12 or less."""
+    n = amat.shape[0] // 2
+    margins = {"system": _rel_inv_margin(amat), "a11": _rel_inv_margin(amat[:n, :n])}
     if margins["system"] <= 1e-12:
         raise SingularSystem(f"critical system singular (margin {margins['system']:.3e})")
     if margins["a11"] <= 1e-12:
         raise SingularSystem(f"upper-left block singular (margin {margins['a11']:.3e})")
-    n = problem.n
-    b22 = np.linalg.inv(amat)[n:, n:]
-    margins["b22"] = rel_inv_margin(b22)
+    inv = np.linalg.inv(amat)
+    margins["b22"] = _rel_inv_margin(inv[n:, n:])
     if margins["b22"] <= 1e-12:
         raise SingularSystem(f"Schur block singular (margin {margins['b22']:.3e})")
-    return CriticalSystem(amat, h.copy(), margins)
+    return inv, margins
+
+
+def critical_system(problem: ToeplitzProblem) -> CriticalSystem:
+    """Assemble and sanity-check the critical-point system of the problem
+    as given (the coherent exponent itself is solved at the normal form)."""
+    problem.require_admissible()
+    _require_hermitian_weight(problem.weight, "the coherent-state exponent")
+    h = problem.weight.h
+    amat = _system_matrix(h, problem.q)
+    return CriticalSystem(amat, h.copy(), _checked_inverse(amat)[1])
 
 
 @dataclass
@@ -108,8 +118,9 @@ class BergmanForm:
         self.fzz = np.asarray(self.fzz, dtype=complex)
         sv = np.linalg.svd(self.fxz, compute_uv=False)
         if sv[-1] <= 1e-10 * max(sv[0], 1e-300):
+            ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0
             raise SingularSystem(
-                f"mixed block of the coherent exponent is singular (margin {sv[-1] / sv[0]:.3e})"
+                f"mixed block of the coherent exponent is singular (margin {ratio:.3e})"
             )
 
     @property
@@ -128,21 +139,25 @@ class BergmanForm:
 
 
 def bergman_exponent(problem: ToeplitzProblem) -> BergmanForm:
-    """Solve the critical system and substitute back.
+    """The coherent-state exponent of the problem, in its coordinates."""
+    problem.require_admissible()
+    _require_hermitian_weight(problem.weight, "the coherent-state exponent")
+    return _exponent_to_file(problem, normal_exponent(problem.normal.q))
 
-    At the critical point, 2f = Hx.theta + H^T z.y, and the derivative
-    identities f'_x = H^T theta(x,z), f'_z = H y(x,z) give a second,
-    independent route to the mixed block; their difference is recorded as
-    ``route_residual``.
+
+def normal_exponent(q: ComplexQuadraticForm) -> BergmanForm:
+    """Solve the critical system on the weight |x|^2/4 and substitute back.
+
+    The right-hand side [[2H, 0], [0, 2H^T]] is I/2 there, so the inverse
+    that the Schur margin takes is also the solution.  At the critical
+    point, 2f = Hx.theta + H^T z.y, and the derivative identities
+    f'_x = H^T theta(x,z), f'_z = H y(x,z) give a second, independent route
+    to the mixed block; their difference is recorded as ``route_residual``.
     """
-    cs = critical_system(problem)
-    n = cs.n
-    h = cs.h
-    rhs = np.block([
-        [2.0 * h, np.zeros((n, n))],
-        [np.zeros((n, n)), 2.0 * h.T],
-    ])
-    sol = np.linalg.solve(cs.amat, rhs)  # (y; theta) as functions of (x, z)
+    n = q.n
+    h = _model_weight(n).h
+    inv, _ = _checked_inverse(_system_matrix(h, q))
+    sol = 0.5 * inv  # (y; theta) as functions of (x, z)
     yx, yz = sol[:n, :n], sol[:n, n:]
     tx, tz = sol[n:, :n], sol[n:, n:]
 
@@ -150,26 +165,11 @@ def bergman_exponent(problem: ToeplitzProblem) -> BergmanForm:
     fzz = h @ yz
     fxz = h.T @ tz
     fxz_alt = (h @ yx).T
-    scale = max(1.0, float(np.max(np.abs(fxz))))
-    residual = float(np.max(np.abs(fxz - fxz_alt)) / scale)
+    scale = max(1.0, float(np.abs(fxz).max()))
+    residual = float(np.abs(fxz - fxz_alt).max() / scale)
     fxx = (fxx + fxx.T) / 2.0
     fzz = (fzz + fzz.T) / 2.0
     return BergmanForm(fxx, fxz, fzz, route_residual=residual)
-
-
-def coherent_route_map(problem: ToeplitzProblem) -> LinearCanonicalMap:
-    """Canonical transformation from the coherent-state phase
-    (2/i)(f(x,z) - Psi(y,z)); equals the kernel-phase route."""
-    f = bergman_exponent(problem)
-    n = f.n
-    h = problem.weight.h
-    z = np.zeros((n, n), dtype=complex)
-    hess = np.block([
-        [-2j * f.fxx, z, -2j * f.fxz],
-        [z, z, 2j * h.T],
-        [-2j * f.fxz.T, 2j * h, -2j * f.fzz],
-    ])
-    return canonical_from_phase(QuadraticPhase(n, hess))
 
 
 def coherent_overlap(weight: Weight, w, z) -> complex:
@@ -223,10 +223,10 @@ def _growth_gap_matrix(f: BergmanForm, weight: Weight) -> np.ndarray:
     the interleaved coordinates of the stacked variable (x, w)."""
     n = f.n
     h, p = weight.h, weight.p
-    z = np.zeros((n, n))
-    a = np.block([[2.0 * (p - f.fxx), z], [z, 2.0 * p]])
-    b = np.block([[h, z], [-2.0 * f.fxz.T, h]])
-    c = np.block([[z, z], [z, -2.0 * f.fzz]])
+    a, b, c = (np.zeros((2 * n, 2 * n), dtype=complex) for _ in range(3))
+    a[:n, :n], a[n:, n:] = 2.0 * (p - f.fxx), 2.0 * p
+    b[:n, :n], b[n:, :n], b[n:, n:] = h, -2.0 * f.fxz.T, h
+    c[n:, n:] = -2.0 * f.fzz
     return realify(a, b, c)
 
 

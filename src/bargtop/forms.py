@@ -20,6 +20,7 @@ Conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import reprlib
@@ -164,7 +165,7 @@ def classify_eigenvalues(eigs, tol=None):
     """:func:`classify_real_form` of a matrix with ascending eigenvalues ``eigs``."""
     if tol is None:
         tol = classification_tolerance()
-    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    scale = float(np.abs(eigs).max()) if eigs.size else 0.0
     margin = float(eigs[0]) if eigs.size else 0.0
     band = tol * scale
     if scale <= 1e-13:
@@ -310,6 +311,22 @@ class Weight:
     def as_form(self) -> ComplexQuadraticForm:
         """The weight rewritten as a complex quadratic form in (x, xbar)."""
         return ComplexQuadraticForm(self.p.copy(), self.h.copy(), np.conj(self.p))
+
+
+@functools.cache
+def _model_weight(n: int) -> Weight:
+    # one |x|^2/4 per dimension, shared by every normal form, so read-only
+    weight = Weight.model(n)
+    weight.h.flags.writeable = weight.p.flags.writeable = False
+    return weight
+
+
+def _record(cls, **fields):
+    """An instance of the dataclass ``cls`` holding ``fields``, without its
+    ``__post_init__`` checks: for values that hold them by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InadmissibleProblem
-from .forms import ComplexQuadraticForm, Weight
+from .forms import ComplexQuadraticForm, Weight, _model_weight
 from .symplectic import LinearCanonicalMap
 from .toeplitz import (
     AGREEMENT_BAND,
@@ -89,15 +89,17 @@ def detect_model(problem: ToeplitzProblem, tol: float = 1e-12) -> ModelInstance 
     """Recognize a problem of the radial family; None when it is not one."""
     n = problem.n
     w = problem.weight
-    scale_h = np.max(np.abs(w.h)) + 1.0
-    if np.max(np.abs(w.h - np.eye(n) / 4.0)) > tol * scale_h or not w.is_hermitian:
-        return None
+    if w is not _model_weight(n):  # a normal form's weight is |x|^2/4 exactly
+        scale_h = np.max(np.abs(w.h)) + 1.0
+        if np.max(np.abs(w.h - np.eye(n) / 4.0)) > tol * scale_h or not w.is_hermitian:
+            return None
     q = problem.q
-    scale_q = max(np.max(np.abs(q.qxx)), np.max(np.abs(q.qxbx)), np.max(np.abs(q.qxbxb)), 1.0)
-    if np.max(np.abs(q.qxx)) > tol * scale_q:
+    xx, xbx = np.abs(q.qxx).max(), np.abs(q.qxbx).max()
+    scale_q = max(xx, xbx, np.abs(q.qxbxb).max(), 1.0)
+    if xx > tol * scale_q:
         return None
     lam = complex(np.trace(q.qxbx) / n)
-    if np.max(np.abs(q.qxbx - lam * np.eye(n))) > tol * scale_q:
+    if np.abs(q.qxbx - lam * np.eye(n)).max() > tol * scale_q:
         return None
     return ModelInstance(n, lam, q.qxbxb / 2.0)
 

@@ -9,12 +9,13 @@ whose sign decides boundedness and compactness.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstructionResidual, DegeneratePhase, NumericalFailure
-from .forms import Weight, classify_eigenvalues, interleave, realify
+from .forms import Weight, _model_weight, classify_eigenvalues, interleave, realify
 
 __all__ = [
     "PhasePoint",
@@ -28,6 +29,7 @@ __all__ = [
     "involution_for_weight",
     "pluriharmonic_shear",
     "canonical_from_phase",
+    "normal_involution",
     "positivity_certificate",
 ]
 
@@ -62,11 +64,13 @@ class PhasePoint:
         return cls(v[:n], v[n:])
 
 
+@functools.cache
 def symplectic_form_matrix(n: int) -> np.ndarray:
-    """Matrix J with sigma(rho, rho') = rho^T J rho'."""
+    """Matrix J with sigma(rho, rho') = rho^T J rho' (one read-only array per n)."""
     j = np.zeros((2 * n, 2 * n))
     j[:n, n:] = -np.eye(n)
     j[n:, :n] = np.eye(n)
+    j.flags.writeable = False
     return j
 
 
@@ -103,7 +107,7 @@ class LinearCanonicalMap:
     def symplectic_residual(self) -> float:
         j = symplectic_form_matrix(self.n)
         return float(
-            np.max(np.abs(self.k.T @ j @ self.k - j)) / max(1.0, np.max(np.abs(self.k)) ** 2)
+            np.abs(self.k.T @ j @ self.k - j).max() / max(1.0, np.abs(self.k).max() ** 2)
         )
 
     def apply(self, rho):
@@ -134,6 +138,13 @@ class AntilinearInvolution:
         eye = np.eye(self.m.shape[0])
         return float(np.max(np.abs(self.m @ np.conj(self.m) - eye)))
 
+    @functools.cached_property
+    def jm(self) -> np.ndarray:
+        """J M, the map-independent term of the positivity certificate."""
+        jm = symplectic_form_matrix(self.n) @ self.m
+        jm.flags.writeable = False
+        return jm
+
     def apply(self, rho):
         if isinstance(rho, PhasePoint):
             return PhasePoint.from_vec(self.m @ np.conj(rho.vec))
@@ -163,12 +174,20 @@ def involution_for_weight(weight: Weight) -> AntilinearInvolution:
 
 
 def _involution_closed_hermitian(h: np.ndarray) -> AntilinearInvolution:
-    # (y, eta) -> (H^{-1} conj(eta) / 2i, (2/i) conj(H) conj(y)); at H = I/4 it
-    # is the constant involution of the normal form, exact in binary
+    # (y, eta) -> (H^{-1} conj(eta) / 2i, (2/i) conj(H) conj(y))
     n = h.shape[0]
-    zero = np.zeros((n, n))
-    m = np.block([[zero, np.linalg.inv(h) / 2j], [-2j * np.conj(h), zero]])
+    m = np.zeros((2 * n, 2 * n), dtype=complex)
+    m[:n, n:], m[n:, :n] = np.linalg.inv(h) / 2j, -2j * np.conj(h)
     return AntilinearInvolution(m)
+
+
+@functools.cache
+def normal_involution(n: int) -> AntilinearInvolution:
+    """The involution of the weight |x|^2/4, exact in binary: one read-only
+    instance per dimension, its residual checked once."""
+    iota = _involution_closed_hermitian(_model_weight(n).h)
+    iota.m.flags.writeable = False
+    return iota
 
 
 def pluriharmonic_shear(a_matrix) -> LinearCanonicalMap:
@@ -223,29 +242,21 @@ def canonical_from_phase(phase: QuadraticPhase) -> LinearCanonicalMap:
     linear system for (x, theta); singularity of that system means the
     phase is degenerate.
     """
-    n = phase.n
-    a = np.block([
-        [phase.block("t", "x"), phase.block("t", "t")],
-        [phase.block("y", "x"), phase.block("y", "t")],
-    ])
+    n, b = phase.n, phase.block
+    a = np.empty((2 * n, 2 * n), dtype=complex)
+    a[:n, :n], a[:n, n:], a[n:, :n], a[n:, n:] = b("t", "x"), b("t", "t"), b("y", "x"), b("y", "t")
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
+        ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0
         raise DegeneratePhase(
-            f"critical system of the phase is singular (sigma_min/sigma_max = {sv[-1] / sv[0]:.3e})"
+            f"critical system of the phase is singular (sigma_min/sigma_max = {ratio:.3e})"
         )
-    eye = np.eye(n)
-    rhs = np.block([
-        [-phase.block("t", "y"), np.zeros((n, n))],
-        [-phase.block("y", "y"), -eye],
-    ])
+    rhs = np.zeros_like(a)
+    rhs[:n, :n], rhs[n:, :n], rhs[n:, n:] = -b("t", "y"), -b("y", "y"), -np.eye(n)
     sol = np.linalg.solve(a, rhs)          # rows: x then theta, columns: (y, eta)
     x_of = sol[:n]
     t_of = sol[n:]
-    xi_of = (
-        phase.block("x", "x") @ x_of
-        + phase.block("x", "t") @ t_of
-        + np.hstack([phase.block("x", "y"), np.zeros((n, n))])
-    )
+    xi_of = b("x", "x") @ x_of + b("x", "t") @ t_of + np.hstack([b("x", "y"), np.zeros((n, n))])
     return LinearCanonicalMap(np.vstack([x_of, xi_of]))
 
 
@@ -284,9 +295,9 @@ def positivity_certificate(
     if kmap.n != iota.n:
         raise ValueError("dimension mismatch between map and involution")
     j = symplectic_form_matrix(kmap.n)
-    w = (kmap.k.T @ j @ iota.m @ np.conj(kmap.k) - j @ iota.m) / 1j
-    scale_w = max(1.0, float(np.max(np.abs(w))))
-    herm_res = float(np.max(np.abs(w - w.conj().T)) / scale_w)
+    w = (kmap.k.T @ j @ iota.m @ np.conj(kmap.k) - iota.jm) / 1j
+    scale_w = max(1.0, float(np.abs(w).max()))
+    herm_res = float(np.abs(w - w.conj().T).max() / scale_w)
     if herm_res > 1e-10:
         raise NumericalFailure(
             f"certificate form has imaginary residue {herm_res:.3e}; inputs are inconsistent"

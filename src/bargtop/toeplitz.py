@@ -11,7 +11,6 @@ closed-form model family) are attached as witnesses and must agree.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -23,6 +22,8 @@ from .forms import (
     Admissibility,
     ComplexQuadraticForm,
     Weight,
+    _model_weight,
+    _record,
     check_admissible,
     classification_tolerance,
 )
@@ -30,8 +31,8 @@ from .symplectic import (
     LinearCanonicalMap,
     PositivityCertificate,
     QuadraticPhase,
-    _involution_closed_hermitian,
     canonical_from_phase,
+    normal_involution,
     positivity_certificate,
 )
 
@@ -46,8 +47,7 @@ __all__ = [
     "Verdict",
     "AGREEMENT_BAND",
     "DEFINITENESS_VERDICT",
-    "build_phase",
-    "canonical_map",
+    "normal_phase",
     "classify_operator",
 ]
 
@@ -56,12 +56,10 @@ __all__ = [
 AGREEMENT_BAND = 1e-8
 
 
-@functools.cache
-def _model_weight(n: int) -> Weight:
-    # one |x|^2/4 per dimension, shared by every normal form, so read-only
-    weight = Weight.model(n)
-    weight.h.flags.writeable = weight.p.flags.writeable = False
-    return weight
+def _pull_back(form: ComplexQuadraticForm, a: np.ndarray):
+    """The blocks of x -> form(a x): a^T Qxx a, a^H Qxbx a, a^H Qxbxb conj(a)."""
+    ah = a.conj().T
+    return a.T @ form.qxx @ a, ah @ form.qxbx @ a, ah @ form.qxbxb @ a.conj()
 
 
 class ToeplitzProblem:
@@ -86,22 +84,20 @@ class ToeplitzProblem:
         self.q = q
         self.tol = classification_tolerance() if tol is None else tol
         n = weight.n
-        if np.array_equal(weight.h, np.eye(n) / 4.0) and not weight.p.any():
-            self.frame = np.eye(n)
+        model = _model_weight(n)
+        if weight is model or (np.array_equal(weight.h, model.h) and not weight.p.any()):
+            self.frame = self.frame_inv = np.eye(n)
             self.normal = self
             self.admissibility: Admissibility = check_admissible(weight, q, self.tol)
         else:
             self.frame = 2.0 * np.linalg.cholesky(weight.h).conj().T
-            inv = np.linalg.inv(self.frame)
+            self.frame_inv = np.linalg.inv(self.frame)
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    q_normal = ComplexQuadraticForm(
-                        inv.T @ q.qxx @ inv, inv.conj().T @ q.qxbx @ inv,
-                        inv.conj().T @ q.qxbxb @ inv.conj(),
-                    )
+                    q_normal = ComplexQuadraticForm(*_pull_back(q, self.frame_inv))
             except ValueError as exc:
                 raise NumericalFailure(f"normal form of q: {exc}") from exc
-            self.normal = ToeplitzProblem(_model_weight(n), q_normal, self.tol)
+            self.normal = ToeplitzProblem(model, q_normal, self.tol)
             self.admissibility = self.normal.admissibility
 
     @property
@@ -120,7 +116,7 @@ class ToeplitzProblem:
         :attr:`normal`.
         """
         n = self.n
-        m, inv = self.frame, np.linalg.inv(self.frame)
+        m, inv = self.frame, self.frame_inv
         shear = 2j * self.weight.p
         t = np.zeros((2 * n, 2 * n), dtype=complex)
         t_inv = np.zeros_like(t)
@@ -186,67 +182,60 @@ class Verdict:
     bergman_form: BergmanForm | None = None
 
 
-def build_phase(problem: ToeplitzProblem) -> QuadraticPhase:
-    """Quadratic phase F(x, y, theta) of the operator kernel.
-
-    F = (2/i)(Psi(x, theta) - Psi(y, theta)) + (1/i) Q(y, theta) with Psi,
-    Q the polarizations of the weight and the symbol exponent.
-    """
-    problem.require_admissible()
-    n = problem.n
-    h = problem.weight.h
-    p = problem.weight.p
-    q = problem.q
-    z = np.zeros((n, n), dtype=complex)
-
-    fxx = -2j * p
-    fxy = z
-    fxt = -2j * h.T
-    fyy = 2j * p - 1j * q.qxx
-    fyt = 2j * h.T - 1j * q.qxbx.T
-    ftt = -1j * q.qxbxb
-
-    hess = np.block([
-        [fxx, fxy, fxt],
-        [fxy.T, fyy, fyt],
-        [fxt.T, fyt.T, ftt],
-    ])
-    return QuadraticPhase(n, hess)
+def normal_phase(q: ComplexQuadraticForm) -> QuadraticPhase:
+    """The phase of Top(e^q) on the weight |x|^2/4 (``verify.build_phase`` at
+    H = I/4, P = 0), filled in place from the blocks of q; it is symmetric
+    by construction."""
+    n = q.n
+    w = _model_weight(n)
+    fxt, fyt = -2j * w.h.T, 2j * w.h.T - 1j * q.qxbx.T
+    hess = np.zeros((3 * n, 3 * n), dtype=complex)
+    x, y, t = (slice(k * n, (k + 1) * n) for k in range(3))
+    hess[x, x], hess[y, y], hess[t, t] = -2j * w.p, 2j * w.p - 1j * q.qxx, -1j * q.qxbxb
+    hess[x, t], hess[t, x], hess[y, t], hess[t, y] = fxt, fxt.T, fyt, fyt.T
+    return _record(QuadraticPhase, n=n, hess=hess)
 
 
-def canonical_map(problem: ToeplitzProblem) -> LinearCanonicalMap:
-    """The canonical transformation attached to the problem's phase."""
-    return canonical_from_phase(build_phase(problem))
+# The normal form's K', Weyl symbol and coherent exponent, taken back to the
+# coordinates of a problem: K = T^{-1} K' T, g(x) = g'(M x) and
+# f(x, z) = f'(M x, conj(M) z), the Weyl prefactor unchanged.  They were
+# checked on the normal form and are not checked again.
 
-
-def _file_coordinates(problem: ToeplitzProblem, kappa: LinearCanonicalMap,
-                      symbol: WeylSymbol, f: BergmanForm):
-    """The normal form's K', Weyl symbol and coherent exponent, taken back
-    to the coordinates of ``problem``: K = T^{-1} K' T, g(x) = g'(M x) and
-    f(x, z) = f'(M x, conj(M) z); the prefactor is unchanged."""
+def _kappa_to_file(problem: ToeplitzProblem, kappa: LinearCanonicalMap) -> LinearCanonicalMap:
     if problem.normal is problem:
-        return kappa, symbol, f
+        return kappa
     t, t_inv = problem.normal_map()
-    m = problem.frame
-    mh, mb = m.conj().T, m.conj()
-    g = symbol.g
-    g = ComplexQuadraticForm(m.T @ g.qxx @ m, mh @ g.qxbx @ m, mh @ g.qxbxb @ mb)
-    return (
-        LinearCanonicalMap(t_inv @ kappa.k @ t),
-        replace(symbol, g=g),
-        replace(f, fxx=m.T @ f.fxx @ m, fxz=m.T @ f.fxz @ mb, fzz=mh @ f.fzz @ mb),
-    )
+    return _record(LinearCanonicalMap, k=t_inv @ kappa.k @ t)
+
+
+def _symbol_to_file(problem: ToeplitzProblem, symbol: WeylSymbol) -> WeylSymbol:
+    if problem.normal is problem:
+        return symbol
+    xx, xbx, xbxb = _pull_back(symbol.g, problem.frame)
+    # symmetric up to rounding; symmetrized as a validated form would be
+    xx, xbxb = xx / 2.0, xbxb / 2.0
+    return replace(symbol, g=_record(ComplexQuadraticForm, qxx=xx + xx.T, qxbx=xbx,
+                                     qxbxb=xbxb + xbxb.T))
+
+
+def _exponent_to_file(problem: ToeplitzProblem, f: BergmanForm) -> BergmanForm:
+    if problem.normal is problem:
+        return f
+    m, mb = problem.frame, problem.frame.conj()
+    return _record(type(f), fxx=m.T @ f.fxx @ m, fxz=m.T @ f.fxz @ mb, fzz=mb.T @ f.fzz @ mb,
+                   route_residual=f.route_residual)
 
 
 def classify_operator(problem: ToeplitzProblem) -> Verdict:
     """Classify the operator as unbounded, bounded, or compact.
 
-    Every route runs on ``problem.normal``, so margins are scale-free.
-    The verdict of record comes from the positivity certificate of the
-    normal form's canonical transformation relative to the constant
-    involution of |x|^2/4.  Weyl-symbol and coherent-growth witnesses
-    (and the closed-form verdict when the normal form belongs to the
-    radial model family) are attached; if two confident witnesses
+    Every route runs on ``problem.normal``, through the kernels that fill
+    its matrices from the blocks of q' at H = I/4, P = 0, so margins are
+    scale-free.  The verdict of record comes from the positivity
+    certificate of the normal form's canonical transformation relative to
+    the constant involution of |x|^2/4.  Weyl-symbol and coherent-growth
+    witnesses (and the closed-form verdict when the normal form belongs to
+    the radial model family) are attached; if two confident witnesses
     disagree a :class:`DisagreementError` is raised, never a silently
     merged verdict.  Every definiteness decision uses ``problem.tol``.
     """
@@ -262,15 +251,15 @@ def classify_operator(problem: ToeplitzProblem) -> Verdict:
         )
 
     normal = problem.normal
-    kappa = canonical_map(normal)
-    cert = positivity_certificate(kappa, _involution_closed_hermitian(normal.weight.h), tol)
+    kappa = canonical_from_phase(normal_phase(normal.q))
+    cert = positivity_certificate(kappa, normal_involution(problem.n), tol)
     witnesses = {"certificate": SubVerdict(
         "certificate", DEFINITENESS_VERDICT[cert.classification], cert.margin, cert.scale)}
 
-    symbol = weyl.weyl_symbol(normal)
+    symbol = weyl.normal_symbol(normal.q)
     witnesses["weyl"] = weyl.symbol_subverdict(symbol, tol)
 
-    f = bergman.bergman_exponent(normal)
+    f = bergman.normal_exponent(normal.q)
     witnesses["bergman"] = bergman.growth_subverdict(f, normal.weight, tol)
 
     instance = model.detect_model(normal)
@@ -288,7 +277,6 @@ def classify_operator(problem: ToeplitzProblem) -> Verdict:
 
     record = witnesses["certificate"]
     boundary = not record.confident
-    kappa, symbol, f = _file_coordinates(problem, kappa, symbol, f)
     return Verdict(
         record.verdict,
         margin=cert.margin,
@@ -296,7 +284,7 @@ def classify_operator(problem: ToeplitzProblem) -> Verdict:
         witnesses=witnesses,
         certificate=cert,
         admissibility=problem.admissibility,
-        kappa=kappa,
-        symbol=symbol,
-        bergman_form=f,
+        kappa=_kappa_to_file(problem, kappa),
+        symbol=_symbol_to_file(problem, symbol),
+        bergman_form=_exponent_to_file(problem, f),
     )

@@ -1,8 +1,11 @@
 """Cross-validation suites: every closed-form route checked against an
 independent construction or against brute force, with explicit margins.
 
-The suites double as the randomized instance generators used by the test
-suite; all randomness is seeded.
+The general-weight constructions (:func:`build_phase`,
+:func:`canonical_map`, :func:`coherent_route_map`) live here as the
+references for the normal-form kernels that classify uses.  The suites
+double as the randomized instance generators used by the test suite; all
+randomness is seeded.
 """
 
 from __future__ import annotations
@@ -13,17 +16,24 @@ import numpy as np
 
 from .forms import ComplexQuadraticForm, Weight, real_part_matrix
 from .symplectic import (
+    LinearCanonicalMap,
     PhasePoint,
+    QuadraticPhase,
     _involution_closed_hermitian,
+    canonical_from_phase,
     graph_point,
     involution_for_weight,
+    normal_involution,
     positivity_certificate,
     symplectic_product,
 )
-from .toeplitz import ToeplitzProblem, canonical_map
+from .toeplitz import ToeplitzProblem, normal_phase
 from . import bergman, model, oracle, weyl
 
 __all__ = [
+    "build_phase",
+    "canonical_map",
+    "coherent_route_map",
     "Check",
     "SuiteResult",
     "SUITES",
@@ -33,6 +43,47 @@ __all__ = [
     "random_admissible_lambda",
     "factorization_residual",
 ]
+
+
+# ---------------------------------------------------------------------------
+# general-weight references
+
+def build_phase(problem: ToeplitzProblem) -> QuadraticPhase:
+    """Quadratic phase F(x, y, theta) of the operator kernel.
+
+    F = (2/i)(Psi(x, theta) - Psi(y, theta)) + (1/i) Q(y, theta) with Psi,
+    Q the polarizations of the weight and the symbol exponent.
+    """
+    problem.require_admissible()
+    h, p, q = problem.weight.h, problem.weight.p, problem.q
+    z = np.zeros_like(h)
+    fxt, fyt = -2j * h.T, 2j * h.T - 1j * q.qxbx.T
+    return QuadraticPhase(problem.n, np.block([
+        [-2j * p, z, fxt],
+        [z, 2j * p - 1j * q.qxx, fyt],
+        [fxt.T, fyt.T, -1j * q.qxbxb],
+    ]))
+
+
+def canonical_map(problem: ToeplitzProblem) -> LinearCanonicalMap:
+    """The canonical transformation attached to the problem's phase, built
+    at the problem's own weight."""
+    return canonical_from_phase(build_phase(problem))
+
+
+def coherent_route_map(problem: ToeplitzProblem) -> LinearCanonicalMap:
+    """Canonical transformation from the coherent-state phase
+    (2/i)(f(x,z) - Psi(y,z)); equals the kernel-phase route."""
+    f = bergman.bergman_exponent(problem)
+    n = f.n
+    h = problem.weight.h
+    z = np.zeros((n, n), dtype=complex)
+    hess = np.block([
+        [-2j * f.fxx, z, -2j * f.fxz],
+        [z, z, 2j * h.T],
+        [-2j * f.fxz.T, 2j * h, -2j * f.fzz],
+    ])
+    return canonical_from_phase(QuadraticPhase(n, hess))
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +151,12 @@ def random_admissible_lambda(rng, re_range=(-3.0, 0.24), im_range=(-2.0, 2.0)) -
 
 
 def factorization_residual(problem: ToeplitzProblem) -> float:
-    """Relative distance of K = canonical_map(problem) from T^{-1} K' T,
-    K' the normal form's map and T = ``problem.normal_map()[0]``."""
+    """Relative distance of K = canonical_map(problem), the general
+    construction, from T^{-1} K' T, K' the map of the normal-form phase and
+    T = ``problem.normal_map()[0]``."""
     k_full = canonical_map(problem).k
     t, t_inv = problem.normal_map()
-    recomposed = t_inv @ canonical_map(problem.normal).k @ t
+    recomposed = t_inv @ canonical_from_phase(normal_phase(problem.normal.q)).k @ t
     return float(np.max(np.abs(k_full - recomposed)) / max(1.0, np.max(np.abs(k_full))))
 
 
@@ -164,7 +216,7 @@ def suite_involution(seed: int = 0, n: int = 1) -> SuiteResult:
         res.add(f"fixes graph #{k}", worst_fix, 1e-12)
         # T^{-1} iota_model conj(T), T the problem's map to its normal form
         t, t_inv = ToeplitzProblem(w, ComplexQuadraticForm.zero(n)).normal_map()
-        other = t_inv @ _involution_closed_hermitian(np.eye(n) / 4.0).m @ np.conj(t)
+        other = t_inv @ normal_involution(n).m @ np.conj(t)
         res.add(f"normal form route agrees #{k}", float(np.max(np.abs(iota.m - other))), 1e-12)
         if w.is_hermitian:
             closed = _involution_closed_hermitian(w.h)
@@ -220,8 +272,7 @@ def suite_factorization(seed: int = 0, n: int = 1) -> SuiteResult:
                 canonical_map(problem), involution_for_weight(problem.weight)
             )
             cert_normal = positivity_certificate(
-                canonical_map(problem.normal),
-                _involution_closed_hermitian(problem.normal.weight.h),
+                canonical_from_phase(normal_phase(problem.normal.q)), normal_involution(n)
             )
             agree = 0.0 if cert_full.classification == cert_normal.classification else 1.0
             res.add(f"normal form class agrees #{k}", agree, 0.5)

@@ -7,6 +7,9 @@ quadratic exponential the flow acts by a finite resolvent: with u =
 
     exp((1/2) d.S d) e^{u.Qu/2} = det(I - SQ)^{-1/2} e^{u.Q(I - SQ)^{-1}u/2}.
 
+It is computed at the normal form H = I/4, where S = [[0, I], [I, 0]], and
+taken back to the problem's coordinates by g(x) = g'(M x).
+
 Only the modulus of the prefactor is contractual; the phase depends on a
 branch choice and is carried along for completeness.
 """
@@ -20,12 +23,16 @@ import numpy as np
 from .errors import ResolventSingular
 from .forms import (
     ComplexQuadraticForm,
+    _record,
     classify_real_form,
     real_part_matrix,
 )
-from .toeplitz import DEFINITENESS_VERDICT, SubVerdict, ToeplitzProblem
+from .toeplitz import DEFINITENESS_VERDICT, SubVerdict, ToeplitzProblem, _symbol_to_file
 
-__all__ = ["WeylSymbol", "SymbolClassification", "weyl_symbol", "classify_symbol", "symbol_subverdict"]
+__all__ = [
+    "WeylSymbol", "SymbolClassification", "weyl_symbol", "normal_symbol", "classify_symbol",
+    "symbol_subverdict",
+]
 
 
 @dataclass
@@ -49,14 +56,22 @@ class WeylSymbol:
 
 
 def weyl_symbol(problem: ToeplitzProblem) -> WeylSymbol:
-    """Heat-flow image of e^q as a Gaussian with quadratic exponent."""
+    """Heat-flow image of e^q as a Gaussian with quadratic exponent, in the
+    coordinates of ``problem``."""
     problem.require_admissible()
-    n = problem.n
-    q = problem.q
-    qmat = np.block([[q.qxx, q.qxbx.T], [q.qxbx, q.qxbxb]])
-    c = np.linalg.inv(problem.weight.h) / 4.0
-    smat = np.block([[np.zeros((n, n)), c], [c.T, np.zeros((n, n))]])
-    resolvent = np.eye(2 * n) - smat @ qmat
+    return _symbol_to_file(problem, normal_symbol(problem.normal.q))
+
+
+def normal_symbol(q: ComplexQuadraticForm) -> WeylSymbol:
+    """The Weyl symbol of Top(e^q) on the weight |x|^2/4.
+
+    There S = [[0, I], [I, 0]], so S Q is Q = [[Qxx, Qxbx^T], [Qxbx, Qxbxb]]
+    with its block rows swapped.
+    """
+    n = q.n
+    qmat = np.empty((2 * n, 2 * n), dtype=complex)
+    qmat[:n, :n], qmat[:n, n:], qmat[n:, :n], qmat[n:, n:] = q.qxx, q.qxbx.T, q.qxbx, q.qxbxb
+    resolvent = np.eye(2 * n) - np.concatenate((qmat[n:], qmat[:n]))
     sv = np.linalg.svd(resolvent, compute_uv=False)
     if sv[-1] <= 1e-12 * max(sv[0], 1.0):
         raise ResolventSingular(
@@ -64,7 +79,7 @@ def weyl_symbol(problem: ToeplitzProblem) -> WeylSymbol:
         )
     g2 = qmat @ np.linalg.inv(resolvent)
     g2 = (g2 + g2.T) / 2.0
-    g = ComplexQuadraticForm(g2[:n, :n], g2[n:, :n], g2[n:, n:])
+    g = _record(ComplexQuadraticForm, qxx=g2[:n, :n], qxbx=g2[n:, :n], qxbxb=g2[n:, n:])
     sign, logabs = np.linalg.slogdet(resolvent)
     log_c = -0.5 * (logabs + 1j * np.angle(sign))
     return WeylSymbol(log_c, g)

@@ -26,10 +26,10 @@ from bargtop.symplectic import (
 from bargtop.toeplitz import (
     ToeplitzProblem,
     VerdictClass,
-    canonical_map,
     classify_operator,
 )
 from bargtop.verify import (
+    canonical_map,
     factorization_residual,
     random_admissible_lambda,
     random_admissible_problem,

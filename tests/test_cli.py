@@ -211,17 +211,23 @@ class TestClassifyCommand:
 
             monkeypatch.setattr(module, name, wrapper)
 
+        from bargtop import verify
+
         for module, name in ((toeplitz, "check_admissible"), (toeplitz, "canonical_from_phase"),
-                             (weyl, "weyl_symbol"), (bergman, "critical_system")):
+                             (toeplitz, "normal_phase"),
+                             (weyl, "normal_symbol"), (bergman, "normal_exponent"),
+                             (weyl, "weyl_symbol"), (bergman, "critical_system"),
+                             (bergman, "bergman_exponent")):
             count(module, name)
         path = write_model_file(tmp_path / "p.yaml", complex(-0.3, 0.1), a=0.02)
         assert main(["classify", path]) == 0
-        # one canonical map, of the normal form; the report reuses it
-        assert calls == {"check_admissible": 1, "canonical_from_phase": 1,
-                         "weyl_symbol": 1, "critical_system": 1}
+        # one kernel per quantity, on the normal form; the report reuses them,
+        # and the general-weight constructions are not called
+        assert calls == {"check_admissible": 1, "canonical_from_phase": 1, "normal_phase": 1,
+                         "normal_symbol": 1, "normal_exponent": 1}
         report = json.loads(capsys.readouterr().out)
         assert np.array_equal(np.array(report["kappa"]).view(complex)[..., 0],
-                              toeplitz.canonical_map(load_problem(path)).k)
+                              verify.canonical_map(load_problem(path)).k)
 
     def test_disagreement_exits_three(self, tmp_path, capsys, monkeypatch):
         import bargtop.cli as cli

@@ -10,8 +10,8 @@ from bargtop.model import (
     model_problem,
     positivity_coefficients,
 )
-from bargtop.toeplitz import VerdictClass, canonical_map, classify_operator
-from bargtop.verify import random_admissible_problem
+from bargtop.toeplitz import VerdictClass, classify_operator
+from bargtop.verify import canonical_map, random_admissible_problem
 
 
 def sym(rng, n, scale=0.05):

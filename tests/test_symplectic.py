@@ -17,8 +17,8 @@ from bargtop.symplectic import (
     symplectic_form_matrix,
     symplectic_product,
 )
-from bargtop.toeplitz import ToeplitzProblem, canonical_map
-from bargtop.verify import random_weight
+from bargtop.toeplitz import ToeplitzProblem
+from bargtop.verify import canonical_map, random_weight
 
 
 def model_problem(lam, a_scalar=0.0):
@@ -174,7 +174,7 @@ class TestCanonicalFromPhase:
     def test_graph_relations(self):
         # the image of (y, -F'_y) is (x, F'_x) with F'_theta = 0
         problem = model_problem(0.1 + 0.2j, 0.03)
-        from bargtop.toeplitz import build_phase
+        from bargtop.verify import build_phase
 
         phase = build_phase(problem)
         k = canonical_from_phase(phase)

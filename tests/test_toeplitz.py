@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bargtop.bergman import bergman_exponent, coherent_route_map
+from bargtop.bergman import bergman_exponent
 from bargtop.errors import InadmissibleProblem
 from bargtop.forms import ComplexQuadraticForm, Weight, polarize
 from bargtop.symplectic import (
@@ -15,12 +15,16 @@ from bargtop.toeplitz import (
     SubVerdict,
     ToeplitzProblem,
     VerdictClass,
-    build_phase,
-    canonical_map,
     classify_operator,
 )
 from bargtop.model import ModelInstance, closed_form_map, model_problem
-from bargtop.verify import factorization_residual, random_admissible_problem
+from bargtop.verify import (
+    build_phase,
+    canonical_map,
+    coherent_route_map,
+    factorization_residual,
+    random_admissible_problem,
+)
 from bargtop.weyl import weyl_symbol
 
 
@@ -183,8 +187,10 @@ class TestNormalForm:
         assert problem.normal.normal is problem.normal
 
     def test_report_quantities_in_file_coordinates(self):
-        # the verdict's K, Weyl symbol and coherent exponent against the same
-        # quantities built directly on the problem as given
+        # the verdict's K against the general construction on the problem as
+        # given, and its Weyl symbol and coherent exponent against the
+        # single-route functions (tests/test_kernels.py compares those with
+        # the general-weight formulas)
         rng = np.random.default_rng(22)
         for k in range(12):
             problem = random_admissible_problem(rng, 1 + k % 3, pluriharmonic=True,
