@@ -116,6 +116,10 @@ class BergmanForm:
         self.fxx = np.asarray(self.fxx, dtype=complex)
         self.fxz = np.asarray(self.fxz, dtype=complex)
         self.fzz = np.asarray(self.fzz, dtype=complex)
+        shapes = [m.shape for m in (self.fxx, self.fxz, self.fzz)]
+        n = shapes[0][0] if len(shapes[0]) == 2 else 0
+        if n == 0 or shapes != [(n, n)] * 3:
+            raise ValueError(f"fxx, fxz and fzz must be n x n blocks, n >= 1; got shapes {shapes}")
         sv = np.linalg.svd(self.fxz, compute_uv=False)
         if sv[-1] <= 1e-10 * max(sv[0], 1e-300):
             ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0

@@ -442,11 +442,12 @@ def _scan_point(point):
     verdict = classify_operator(model.model_problem(inst))
     if verdict.verdict is VerdictClass.INADMISSIBLE:
         return (re_lam, im_lam, norm_a, "inadmissible", math.nan)
-    closed = model.classify_model(inst)
+    # unlike DisagreementError, this counts a confident bounded_not_compact certificate
+    closed = verdict.witnesses["model"]
     mismatch = (
         verdict.verdict is not closed.verdict
         and verdict.witnesses["certificate"].confident
-        and closed.witnesses["model"].confident
+        and closed.confident
     )
     if mismatch:
         raise NumericalFailure(

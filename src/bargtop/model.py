@@ -10,12 +10,13 @@ general pipeline is validated against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InadmissibleProblem
-from .forms import ComplexQuadraticForm, Weight, _model_weight
+from .forms import ComplexQuadraticForm, _model_weight
 from .symplectic import LinearCanonicalMap
 from .toeplitz import (
     AGREEMENT_BAND,
@@ -38,28 +39,28 @@ __all__ = [
 
 @dataclass
 class ModelInstance:
-    """Parameters (lam, A) of one member of the radial family."""
+    """Parameters (lam, A) of one member of the radial family; ``gamma`` =
+    1/(1 - 2 lam) and ``norm_a`` = ||A|| are computed once, at construction."""
 
     n: int
     lam: complex
     a: np.ndarray
+    gamma: complex = field(init=False)
+    norm_a: float = field(init=False)
 
     def __post_init__(self):
         self.lam = complex(self.lam)
         self.a = np.atleast_2d(np.asarray(self.a, dtype=complex))
+        if not (cmath.isfinite(self.lam) and np.isfinite(self.a).all()):
+            raise ValueError("lam and A must be finite")
         if self.a.shape != (self.n, self.n):
             raise ValueError("A must be n x n")
         if np.max(np.abs(self.a - self.a.T)) > 1e-12 * (np.max(np.abs(self.a)) + 1.0):
             raise ValueError("A must be symmetric")
-
-    @property
-    def gamma(self) -> complex:
-        return 1.0 / (1.0 - 2.0 * self.lam)
-
-    @property
-    def norm_a(self) -> float:
-        """Euclidean operator norm of A (largest singular value)."""
-        return float(np.linalg.svd(self.a, compute_uv=False)[0])
+        # lam = 1/2 is far outside admissibility; gamma is the point at infinity there
+        d = 1.0 - 2.0 * self.lam
+        self.gamma = 1.0 / d if d else complex(cmath.inf)
+        self.norm_a = float(np.linalg.svd(self.a, compute_uv=False)[0])
 
     @property
     def admissibility_margin(self) -> float:
@@ -72,8 +73,7 @@ class ModelInstance:
     @property
     def boundedness_margin(self) -> float:
         """(1 - |gamma|^2)/|gamma|^2 - 4 ||A||; sign decides the verdict."""
-        g2 = abs(self.gamma) ** 2
-        return float((1.0 - g2) / g2 - 4.0 * self.norm_a)
+        return model_subverdict(self).margin
 
 
 def model_problem(instance: ModelInstance) -> ToeplitzProblem:
@@ -82,12 +82,12 @@ def model_problem(instance: ModelInstance) -> ToeplitzProblem:
     q = ComplexQuadraticForm(
         np.zeros((n, n)), instance.lam * np.eye(n), 2.0 * instance.a
     )
-    return ToeplitzProblem(Weight.model(n), q)
+    return ToeplitzProblem(_model_weight(n), q)
 
 
-def detect_model(problem: ToeplitzProblem, tol: float = 1e-12) -> ModelInstance | None:
+def detect_model(problem: ToeplitzProblem) -> ModelInstance | None:
     """Recognize a problem of the radial family; None when it is not one."""
-    n = problem.n
+    n, tol = problem.n, 1e-12
     w = problem.weight
     if w is not _model_weight(n):  # a normal form's weight is |x|^2/4 exactly
         scale_h = np.max(np.abs(w.h)) + 1.0
@@ -104,7 +104,7 @@ def detect_model(problem: ToeplitzProblem, tol: float = 1e-12) -> ModelInstance 
     return ModelInstance(n, lam, q.qxbxb / 2.0)
 
 
-def classify_model(instance: ModelInstance, band: float = AGREEMENT_BAND) -> Verdict:
+def classify_model(instance: ModelInstance) -> Verdict:
     """Closed-form verdict: unbounded / bounded-not-compact / compact by
     the sign of the boundedness margin, with a tolerance band around the
     equality case."""
@@ -112,18 +112,20 @@ def classify_model(instance: ModelInstance, band: float = AGREEMENT_BAND) -> Ver
         raise InadmissibleProblem(
             f"Re lam + ||A|| = {instance.lam.real + instance.norm_a:.6f} >= 1/4"
         )
-    sub = model_subverdict(instance, band)
+    sub = model_subverdict(instance)
     return Verdict(sub.verdict, margin=sub.margin, boundary=not sub.confident,
                    witnesses={"model": sub})
 
 
-def model_subverdict(instance: ModelInstance, band: float = AGREEMENT_BAND) -> SubVerdict:
-    m = instance.boundedness_margin
+def model_subverdict(instance: ModelInstance) -> SubVerdict:
+    """The boundedness margin as a witness, confident outside ``AGREEMENT_BAND``."""
     g2 = abs(instance.gamma) ** 2
-    scale = max(1.0, abs((1.0 - g2) / g2), 4.0 * instance.norm_a)
-    if m > band * scale:
+    threshold = (1.0 - g2) / g2
+    m = float(threshold - 4.0 * instance.norm_a)
+    scale = max(1.0, abs(threshold), 4.0 * instance.norm_a)
+    if m > AGREEMENT_BAND * scale:
         verdict = VerdictClass.COMPACT
-    elif m < -band * scale:
+    elif m < -AGREEMENT_BAND * scale:
         verdict = VerdictClass.UNBOUNDED
     else:
         verdict = VerdictClass.BOUNDED_NOT_COMPACT

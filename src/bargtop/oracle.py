@@ -71,14 +71,6 @@ class TruncatedOperator:
 # ---------------------------------------------------------------------------
 # basis bookkeeping (diagonal Hermitian weights only)
 
-def _block_complex(t):
-    """Block realification (u_1..u_n, v_1..v_n) -> x = u + iv. Local to the
-    oracle; distinct from the interleaved convention used elsewhere."""
-    t = np.asarray(t, dtype=float)
-    n = t.size // 2
-    return t[:n] + 1j * t[n:]
-
-
 def _block_order(mat: np.ndarray) -> np.ndarray:
     """A matrix in interleaved coordinates (u_1, v_1, u_2, ...) rewritten in
     the oracle's block coordinates (u_1..u_n, v_1..v_n)."""

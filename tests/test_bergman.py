@@ -114,6 +114,18 @@ class TestBergmanExponent:
             f = bergman_exponent(random_admissible_problem(rng, 2))
             assert f.scaled_mixed_det() > 1e-10
 
+    @pytest.mark.parametrize("blocks", [
+        (0, 0, 0),
+        (np.eye(2), np.eye(3), np.eye(2)),
+        (np.eye(2), np.eye(2), np.eye(3)),
+        (np.ones(2), np.ones(2), np.ones(2)),
+        (np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3))),
+        (np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))),
+    ])
+    def test_blocks_of_the_wrong_shape_rejected(self, blocks):
+        with pytest.raises(ValueError, match="n x n blocks"):
+            BergmanForm(*blocks)
+
 
 class TestCoherentOverlap:
     def test_normalization(self):

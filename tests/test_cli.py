@@ -371,6 +371,57 @@ class TestScanCommand:
         assert main(["scan", *args, "-o", str(out3), "--workers", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
 
+    def test_reference_grid_matches_golden_csv(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--lambda-re=-2:0.24:101", "--lambda-im", "0,0.5",
+                     "--norm-a", "0:0.2:5", "-o", str(out)]) == 0
+        golden = os.path.join(os.path.dirname(__file__), "data", "scan_reference.csv")
+        with open(golden, "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
+    def test_closed_form_is_the_model_witness(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the closed form was classified again")
+
+        monkeypatch.setattr(model, "classify_model", never)
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--lambda-re=-1:0.3:4", "--lambda-im", "0,0.5",
+                     "--norm-a", "0:0.2:3", "-o", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 4 * 2 * 3
+
+    def test_admissible_row_takes_two_svds_of_a(self, monkeypatch):
+        # one per ModelInstance: the row's own and the model witness's
+        svd, args, instances = np.linalg.svd, [], []
+        post_init = model.ModelInstance.__post_init__
+
+        def counting(m, *rest, **kwargs):
+            args.append(m)
+            return svd(m, *rest, **kwargs)
+
+        def tracking(self):
+            post_init(self)
+            instances.append(self)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(model.ModelInstance, "__post_init__", tracking)
+        row = cli._scan_point((-0.5, 0.5, 0.1))
+        assert row[3] == "compact" and len(instances) == 2
+        assert sum(any(m is inst.a for inst in instances) for m in args) == 2
+
+    def test_confident_certificate_model_conflict_fails(self, tmp_path, capsys, monkeypatch):
+        # above a tolerance of 1e-8 the certificate can call lam = -0.001,
+        # ||A|| = 0.001 bounded_not_compact with a confident margin while the
+        # closed form says compact; classify_operator raises no
+        # DisagreementError there, the scan's own rule does
+        monkeypatch.setenv("TOEPLITZ_TOL", "1e-3")
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--lambda-re=-1:-0.001:2", "--lambda-im", "0",
+                     "--norm-a", "0:0.001:2", "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: pipeline=bounded_not_compact but "
+                              "closed form=compact") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_rows_cover_grid_in_order(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
         assert main(["scan", "--lambda-re", "-1:0:3", "--lambda-im", "0",

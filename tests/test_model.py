@@ -8,6 +8,7 @@ from bargtop.model import (
     closed_form_map,
     detect_model,
     model_problem,
+    model_subverdict,
     positivity_coefficients,
 )
 from bargtop.toeplitz import VerdictClass, classify_operator
@@ -120,6 +121,44 @@ class TestNormA:
             val = abs(np.conj(w) @ a @ np.conj(w))
             assert val == pytest.approx(inst.norm_a, abs=1e-6)
             assert best == pytest.approx(inst.norm_a, abs=2e-2 * inst.norm_a)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("lam, a", [
+        (1.0, [[np.nan]]),
+        (1.0, [[np.inf]]),
+        (complex(np.nan, 0.0), [[0.1]]),
+        (complex(0.0, -np.inf), [[0.1]]),
+    ])
+    def test_non_finite_input_rejected(self, lam, a):
+        with pytest.raises(ValueError, match="finite"):
+            ModelInstance(1, lam, a)
+
+    def test_one_svd_per_instance(self, monkeypatch):
+        svd, calls = np.linalg.svd, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        inst = ModelInstance(2, -0.3 + 0.1j, sym(np.random.default_rng(6), 2))
+        assert len(calls) == 1 and calls[0] is inst.a
+        classify_model(inst)
+        model_subverdict(inst)
+        closed_form_map(inst)
+        positivity_coefficients(inst)
+        assert (inst.gamma, inst.admissibility_margin, inst.boundedness_margin) == (
+            1 / (1 - 2 * inst.lam), 0.25 - inst.lam.real - inst.norm_a,
+            classify_model(inst).margin)
+        assert len(calls) == 1
+
+    def test_gamma_at_lambda_one_half(self):
+        # 1 - 2 lam vanishes; the instance exists and is inadmissible
+        inst = ModelInstance(1, 0.5, [[0.1]])
+        assert not inst.is_admissible and np.isinf(abs(inst.gamma))
+        with pytest.raises(InadmissibleProblem):
+            classify_model(inst)
 
 
 class TestDetectAndPipeline:

@@ -9,7 +9,6 @@ from bargtop.errors import NotAbsolutelyConvergent, OracleRefusal, QuadratureDiv
 from bargtop.forms import ComplexQuadraticForm, Weight, quadratic_matrix, real_part_matrix
 from bargtop.model import ModelInstance, model_problem
 from bargtop.oracle import (
-    _block_complex,
     _block_order,
     _coherent_coefficients,
     _gaussian_exponent_matrix,
@@ -26,6 +25,14 @@ from bargtop.oracle import (
 from bargtop.toeplitz import ToeplitzProblem, VerdictClass, classify_operator
 from bargtop.verify import random_admissible_problem
 from bargtop.weyl import weyl_symbol
+
+
+def _block_complex(t):
+    """Block realification (u_1..u_n, v_1..v_n) -> x = u + iv: the oracle's
+    coordinates, distinct from the interleaved convention used elsewhere."""
+    t = np.asarray(t, dtype=float)
+    n = t.size // 2
+    return t[:n] + 1j * t[n:]
 
 
 def scalar_problem(lam, a=0.0):
@@ -86,9 +93,6 @@ class TestTruncatedMatrix:
     def test_first_entry_against_gaussian_determinant(self):
         # <e^q e_0, e_0> = (2 pi)^{-1} integral e^{q - |x|^2/2}, a pure Gaussian:
         # equals det(G)^{-1/2} / 2 for the real-coordinate exponent matrix G
-        from bargtop.forms import quadratic_matrix
-        from bargtop.oracle import _block_complex
-
         problem = scalar_problem(0.08 - 0.3j, 0.04)
         top = truncated_matrix(problem, 6)
 
