@@ -2,7 +2,10 @@
 """The Weyl symbol as a heat flow, closed form against brute force.
 
 On quadratic exponentials the flow acts by a finite resolvent; the oracle
-re-computes the same values by an honest Gaussian convolution over R^2.
+re-computes the same values by an honest Gaussian convolution over R^2,
+in the problem's own coordinates: the whole exponent of the convolution is
+integrated by a complex-scaled Gauss-Hermite rule whose order is derived
+from its remainder.
 The scalar family shows the whole story: the symbol of the operator with
 exponent lam |x|^2 is (1-lam)^{-1} exp(lam |x|^2/(1-lam)), so the sign of
 Re(lam/(1-lam)) is exactly the boundedness of the symbol, and the circle

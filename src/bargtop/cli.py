@@ -34,6 +34,10 @@ EXIT_VERIFY_FAILURE = 1
 EXIT_INADMISSIBLE = 2
 EXIT_NUMERICAL = 3
 
+# largest relative change of `oracle --experiment weyl` under a doubled
+# order; max_rel_error is held to the same bound
+WEYL_REFINEMENT_BOUND = 1e-6
+
 # the PyYAML loader class, set on PyYAML's first import (_yaml)
 _YAML_LOADER = None
 
@@ -397,20 +401,25 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 # scan
 
-def _grid_value(text: str, what: str) -> float:
+def _grid_value(text: str, what: str, scale: float = 1.0) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{what}: values must be finite, got {text}")
+    if not math.isfinite(scale * value):
+        raise ValueError(f"{what}: {scale:g} times each value must be finite, got {text}")
     return value
 
 
-def _parse_range(text: str, what: str) -> np.ndarray:
+def _parse_range(text: str, what: str, scale: float = 1.0) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{what}: expected a:b:steps")
-    a, b, steps = _grid_value(parts[0], what), _grid_value(parts[1], what), int(parts[2])
+    a, b = (_grid_value(v, what, scale) for v in parts[:2])
+    steps = int(parts[2])
     if steps < 1 or (steps == 1 and a != b) or (steps > 1 and b <= a):
         raise ValueError(f"{what}: invalid range {text}")
+    if not math.isfinite(b - a):  # np.linspace steps by (b - a) / (steps - 1)
+        raise ValueError(f"{what}: b - a must be finite, got {text}")
     return np.linspace(a, b, steps)
 
 
@@ -461,7 +470,8 @@ def _cmd_scan(args) -> int:
     try:
         res = _parse_range(args.lambda_re, "--lambda-re")
         ims = _parse_values(args.lambda_im, "--lambda-im")
-        nas = _parse_range(args.norm_a, "--norm-a")
+        # the model's symbol carries 2 ||A||
+        nas = _parse_range(args.norm_a, "--norm-a", scale=2.0)
         _check_workers(args.workers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -566,9 +576,14 @@ def _cmd_oracle(args) -> int:
                 pt = np.zeros(problem.n, dtype=complex)
                 pt[0] = r
                 points.append(pt)
-            rows = []
+            rows, orders, refinement = [], [], 0.0
             for pt in points:
-                num = oracle.numeric_weyl(problem, pt)
+                conv = oracle.weyl_convolution(problem, pt)
+                orders.append(conv.order)
+                num = conv.value(orders[-1])
+                # self-check: the same rule at twice the derived order
+                fine = conv.value(2 * orders[-1])
+                refinement = max(refinement, abs(fine - num) / max(abs(fine), 1e-300))
                 ref = symbol.evaluate(pt)
                 rows.append({
                     "x": [_cpx(v) for v in pt],
@@ -576,8 +591,14 @@ def _cmd_oracle(args) -> int:
                     "closed_form": _cpx(ref),
                     "rel_error": abs(num - ref) / max(abs(ref), 1e-300),
                 })
+            if refinement > WEYL_REFINEMENT_BOUND:
+                raise NumericalFailure(
+                    f"Weyl convolution moves by {refinement:.3e} relative when its order "
+                    f"is doubled (bound {WEYL_REFINEMENT_BOUND:.0e})"
+                )
             out["points"] = rows
             out["max_rel_error"] = max(r["rel_error"] for r in rows)
+            out.update(order=max(orders), refinement=refinement)
         elif args.experiment == "coherent":
             radii = [1.0, 2.0, 4.0]
             logs = []

@@ -140,8 +140,11 @@ def form_matrix(a, b, c) -> np.ndarray:
     """
     a, b, c = (np.asarray(blk)[:, None, :, None] for blk in (a, b, c))
     m2 = 2 * a.shape[0]
-    mat = (0.5 * a * _UU + b * _UBU + 0.5 * c * _UBUB).reshape(m2, m2)
-    return (mat + mat.T) / 2.0
+    # halves first, as in _check_symmetric: a sum of entries near the float
+    # maximum overflows, that of their halves does not; scaling by 1/2 is
+    # exact, so every matrix keeps its bits
+    half = (0.25 * a * _UU + 0.5 * b * _UBU + 0.25 * c * _UBUB).reshape(m2, m2)
+    return half + half.T
 
 
 def realify(a, b, c) -> np.ndarray:

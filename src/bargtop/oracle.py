@@ -15,10 +15,17 @@ relative accuracy of the small matrix entries; the scaled rule does not.
 
 A Galerkin entry integrates a product of two basis monomials, a polynomial
 of total degree at most 2 d for basis degree d, so order d + 1 is already
-exact and is the default.  The Weyl convolution and the coherent-state
-kernel are not polynomial; their orders are fixed empirically.  Nodes and
-weights come from ``scipy.special.roots_hermite`` (Golub-Welsch with a
-Newton step, an asymptotic expansion from order 150).
+exact and is the default.  The Weyl convolution keeps its whole exponent,
+quadratic and linear, in the Gaussian: after the scaling and a shift of
+the contour by the imaginary part of the linear term, each of its 2n
+factors is the integral of e^{-s^2 + alpha s} with real alpha, and its
+order is derived from the Gauss-Hermite remainder for e^{alpha s}.  The
+tensor rule for that product is the product of the 1d sums.  The
+coherent-state kernel is not polynomial; its order is fixed empirically.
+Nodes and weights come from ``scipy.special.roots_hermite`` (Golub-Welsch
+with a Newton step, an asymptotic expansion from order 150); the Weyl rule
+takes the logarithms of its weights from a recurrence instead, since its
+orders reach thousands, where the far weights underflow.
 
 SciPy is imported inside the functions that call it, so importing the
 package (and running ``classify`` or ``scan``) does not load it.
@@ -32,8 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAbsolutelyConvergent, OracleRefusal, QuadratureDivergence
-from .forms import ComplexQuadraticForm, Weight, form_matrix, real_part_matrix
+from .errors import (
+    NotAbsolutelyConvergent, NumericalFailure, OracleRefusal, QuadratureDivergence,
+)
+from .forms import Weight, form_matrix
 from .toeplitz import ToeplitzProblem
 
 __all__ = [
@@ -44,6 +53,8 @@ __all__ = [
     "is_plateau",
     "DecayEstimate",
     "singular_decay",
+    "WeylConvolution",
+    "weyl_convolution",
     "numeric_weyl",
     "numeric_coherent_norm",
 ]
@@ -161,20 +172,25 @@ def _gaussian_exponent_matrix(problem: ToeplitzProblem) -> np.ndarray:
     return g
 
 
+def _substitution(gmat: np.ndarray):
+    """M = G^{-1/2} and det(M): t = M s turns e^{-t.Gt} into e^{-s.s}."""
+    import scipy.linalg
+
+    sqrtg = scipy.linalg.sqrtm(gmat.astype(complex))
+    return np.linalg.inv(sqrtg), complex(1.0 / np.linalg.det(sqrtg))
+
+
 def _scaled_rule(gmat: np.ndarray, order: int):
     """Substitution matrix M = G^{-1/2}, its det, and the 1d nodes/weights.
 
     integral of e^{-t.Gt} f(t) over R^m  =  det(M) * sum w_i f(M s_i)
     exactly for polynomial f of degree < 2*order.
     """
-    import scipy.linalg
     from scipy.special import roots_hermite
 
-    sqrtg = scipy.linalg.sqrtm(gmat.astype(complex))
-    minv = np.linalg.inv(sqrtg)
-    detm = 1.0 / np.linalg.det(sqrtg)
+    minv, detm = _substitution(gmat)
     s, w = roots_hermite(order)
-    return minv, complex(detm), s, w
+    return minv, detm, s, w
 
 
 def _tensor_product(s, w, dims):
@@ -314,50 +330,118 @@ def singular_decay(problem: ToeplitzProblem, size: int) -> DecayEstimate:
 # ---------------------------------------------------------------------------
 # Weyl heat flow by direct convolution
 
-def _q_values(q: ComplexQuadraticForm, xs: np.ndarray) -> np.ndarray:
-    xb = np.conj(xs)
-    return (
-        0.5 * ((xs @ q.qxx.T) * xs).sum(axis=1)
-        + ((xs @ q.qxbx.T) * xb).sum(axis=1)
-        + 0.5 * ((xb @ q.qxbxb.T) * xb).sum(axis=1)
-    )
+#: target of each factor's Gauss-Hermite remainder, relative to the factor
+_WEYL_RULE_TOL = 1e-15
+#: the weight recurrence costs O(order^2): order 5000, which |alpha| of
+#: about 120 asks for, and its doubling take about 1 s together (one core
+#: of a shared 2-core x86 machine)
+_WEYL_MAX_ORDER = 5000
 
 
-def numeric_weyl(problem: ToeplitzProblem, x, order: int | None = None) -> complex:
-    """Weyl symbol at the graph point over x by Gaussian convolution.
+def _hermite_order(alpha: float) -> int:
+    """Least Gauss-Hermite order N whose remainder for e^{alpha s} is at
+    most ``_WEYL_RULE_TOL`` relative to the exact integral sqrt(pi) e^{alpha^2/4}.
 
-    The heat flow is a convolution on R^{2n} with covariance built from
-    H^{-1}/4; admissibility already guarantees absolute convergence, which
-    is still checked and reported.
+    The remainder is alpha^{2N} N! / (2^N (2N)!) to leading order; each
+    order multiplies it by alpha^2 / (4 (2N + 1)).
+    """
+    if alpha == 0.0:
+        return 1
+    order, log_rem = 1, 2.0 * math.log(abs(alpha)) - math.log(4.0)
+    while log_rem > math.log(_WEYL_RULE_TOL):
+        log_rem += 2.0 * math.log(abs(alpha)) - math.log(4.0 * (2 * order + 1))
+        order += 1
+        if order > _WEYL_MAX_ORDER:
+            raise NumericalFailure(
+                f"Weyl convolution needs a Gauss-Hermite order above {_WEYL_MAX_ORDER} "
+                f"(|alpha| = {abs(alpha):.3e})"
+            )
+    return order
+
+
+def _hermite_log_rule(order: int):
+    """Gauss-Hermite nodes and the logarithms of their weights.
+
+    From order ~400 the weights of the far nodes underflow to 0, yet a
+    large alpha puts the integrand's peak there.  Written as
+    1 / (N p(s)^2), with p the orthonormal Hermite polynomial of degree
+    N - 1, their logarithms do not: p runs through its three-term
+    recurrence, rescaled whenever it exceeds 1.
     """
     from scipy.special import roots_hermite
 
+    s, _ = roots_hermite(order)
+    p_prev, p, log_p = np.zeros_like(s), np.full_like(s, math.pi ** -0.25), np.zeros_like(s)
+    for k in range(1, order):
+        p_prev, p = p, math.sqrt(2.0 / k) * s * p - math.sqrt((k - 1) / k) * p_prev
+        scale = np.maximum(np.abs(p), 1.0)
+        p_prev, p, log_p = p_prev / scale, p / scale, log_p + np.log(scale)
+    return s, -math.log(order) - 2.0 * (np.log(np.abs(p)) + log_p)
+
+
+@dataclass
+class WeylConvolution:
+    """The Weyl convolution at one graph point: a prefactor times the 2n
+    one-dimensional integrals of e^{-s^2 + alpha_j s}."""
+
+    log_prefactor: complex
+    alpha: np.ndarray
+
+    @property
+    def order(self) -> int:
+        """The derived Gauss-Hermite order, set by the largest |alpha_j|."""
+        return _hermite_order(float(np.max(np.abs(self.alpha))))
+
+    def value(self, order: int | None = None) -> complex:
+        """The tensor Gauss-Hermite rule, evaluated as the product of its
+        one-dimensional sums."""
+        s, log_w = _hermite_log_rule(self.order if order is None else order)
+        a = self.alpha[:, None]
+        # taken relative to e^{alpha^2/4}, no term overflows
+        sums = np.exp(log_w + a * s - a * a / 4.0).sum(axis=1)
+        log_total = self.log_prefactor + np.sum(np.log(sums) + self.alpha ** 2 / 4.0)
+        return complex(np.exp(log_total))
+
+
+def weyl_convolution(problem: ToeplitzProblem, x) -> WeylConvolution:
+    """The heat-flow convolution of e^q at the graph point over x, reduced
+    to one-dimensional Gaussian integrals.
+
+    The heat kernel of H^{-1}/4 is the density (4/pi)^n det(H) e^{-4 wbar.Hw}
+    on C^n, so in block coordinates t of w the integrand is
+    exp(-t.Gt + l.t + q(x)) with G = 4 Hr - F, Hr the block realification
+    of H, F the matrix of q and l = -2 F X the linear term of q(x - w).
+    Re G > 0 is absolute convergence.  t = M s with M = G^{-1/2} makes the
+    exponent -s.s + b.s with b = M l, and the contour shift s -> s + i Im(b)/2
+    leaves the real linear term alpha = Re b: on the shifted contour the
+    integrand is positive, so the rule sums without cancellation.
+    """
     problem.require_admissible()
     _require_small(problem)
-    n = problem.n
-    if order is None:
-        order = 150 if n == 1 else 40
+    n, q, h = problem.n, problem.q, problem.weight.h
     x = np.atleast_1d(np.asarray(x, dtype=complex))
 
-    c = np.linalg.inv(problem.weight.h) / 4.0
-    cr, ci = c.real, c.imag
-    bmat = 0.5 * np.block([[cr, -ci], [ci, cr]])  # block (u; v) convention
-
-    qre = _block_order(real_part_matrix(problem.q))
-    shifted = qre - 0.5 * np.linalg.inv(bmat)
-    if np.linalg.eigvalsh(shifted)[-1] >= 0.0:
+    fmat = _block_order(form_matrix(q.qxx, q.qxbx, q.qxbxb))
+    gmat = 4.0 * np.block([[h.real, -h.imag], [h.imag, h.real]]) - fmat
+    if np.linalg.eigvalsh(gmat.real)[0] <= 0.0:
         raise NotAbsolutelyConvergent(
             "shifted exponent of the convolution is not negative definite"
         )
+    minv, detm = _substitution(gmat)
+    xt = np.concatenate((x.real, x.imag))
+    b = minv.T @ (-2.0 * fmat @ xt)
+    alpha, beta = b.real, b.imag
+    log_prefactor = (
+        n * math.log(4.0 / math.pi) + math.log(np.linalg.det(h).real) + np.log(detm)
+        + xt @ fmat @ xt + np.sum(0.5j * alpha * beta - 0.25 * beta ** 2)
+    )
+    return WeylConvolution(complex(log_prefactor), alpha)
 
-    lmat = np.linalg.cholesky(bmat)
-    s, w = roots_hermite(order)
-    total = 0.0 + 0.0j
-    for pts, wts in _tensor_chunks(s, w, 2 * n):
-        wv = math.sqrt(2.0) * pts @ lmat.T
-        wc = wv[:, :n] + 1j * wv[:, n:]
-        total += np.sum(wts * np.exp(_q_values(problem.q, x[None, :] - wc)))
-    return complex(total / math.pi ** n)
+
+def numeric_weyl(problem: ToeplitzProblem, x, order: int | None = None) -> complex:
+    """Weyl symbol at the graph point over x by Gaussian convolution, with
+    the derived Gauss-Hermite order unless ``order`` is given."""
+    return weyl_convolution(problem, x).value(order)
 
 
 # ---------------------------------------------------------------------------

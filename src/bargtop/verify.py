@@ -10,10 +10,12 @@ randomness is seeded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .forms import ComplexQuadraticForm, Weight, real_part_matrix
 from .symplectic import (
     LinearCanonicalMap,
@@ -89,10 +91,10 @@ def coherent_route_map(problem: ToeplitzProblem) -> LinearCanonicalMap:
 # ---------------------------------------------------------------------------
 # seeded instance generators
 
-def random_weight(rng, n: int, pluriharmonic: bool = False) -> Weight:
+def random_weight(rng, n: int, pluriharmonic: bool = False, levi_range=(0.3, 2.0)) -> Weight:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     qmat, _ = np.linalg.qr(z)
-    levi = rng.uniform(0.3, 2.0, size=n)
+    levi = rng.uniform(*levi_range, size=n)
     h = qmat @ np.diag(levi) @ qmat.conj().T
     p = np.zeros((n, n), dtype=complex)
     if pluriharmonic:
@@ -108,18 +110,19 @@ def _random_symmetric(rng, n: int) -> np.ndarray:
 
 def random_admissible_problem(
     rng, n: int, pluriharmonic: bool = False, min_margin: float = 0.1,
-    damped: bool = False,
+    damped: bool = False, levi_range=(0.3, 2.0),
 ) -> ToeplitzProblem:
     """A random (weight, q) pair with Re q < Phi_herm by a controlled margin.
 
     With ``damped`` the symbol exponent is dominated by a negative
     multiple of the Hermitian part, which biases the draw toward compact
-    operators (raw draws are mostly unbounded).
+    operators (raw draws are mostly unbounded).  The weight's Levi
+    eigenvalues are drawn uniformly from ``levi_range``.
     """
     import scipy.linalg  # only here: importing verify leaves SciPy unloaded
 
     while True:
-        w = random_weight(rng, n, pluriharmonic)
+        w = random_weight(rng, n, pluriharmonic, levi_range)
         q = ComplexQuadraticForm(
             _random_symmetric(rng, n),
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
@@ -307,6 +310,18 @@ def suite_mehler(seed: int = 0, n: int = 1) -> SuiteResult:
         num = oracle.numeric_weyl(problem, x)
         ref = symbol.evaluate(x)
         res.add(f"convolution agrees #{k}", abs(num - ref) / abs(ref), 1e-6)
+    # general draws at the suite's dimension: the convolution in the file's
+    # coordinates against the closed form taken back from the normal form
+    for k in range(4):
+        problem = random_admissible_problem(rng, n, pluriharmonic=k % 2 == 1)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = rng.uniform(0.5, 2.0) * u / np.linalg.norm(u)
+        ref = weyl.weyl_symbol(problem).evaluate(x)
+        try:
+            rel = abs(oracle.numeric_weyl(problem, x) - ref) / abs(ref)
+        except NumericalFailure:  # the rule's order is capped: a failed check
+            rel = math.inf
+        res.add(f"general convolution agrees #{k}", rel, 1e-6)
     return res
 
 

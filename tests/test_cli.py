@@ -10,7 +10,7 @@ import yaml
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import bargtop.cli as cli
-from bargtop import model
+from bargtop import model, oracle, verify
 from bargtop.cli import main, load_problem
 from bargtop.errors import ProblemFileError
 
@@ -461,12 +461,26 @@ class TestScanCommand:
         ["--lambda-re=-1:0:3", "--lambda-im", "nan", "--norm-a", "0:0.1:2"],
         ["--lambda-re=-1:inf:3", "--norm-a", "0:0.1:2"],
         ["--lambda-re=-1:0:3", "--norm-a", "-inf:0.1:2"],
+        # the model's symbol carries 2 ||A||, which must be finite too
+        ["--lambda-re=-1:0:2", "--lambda-im", "0", "--norm-a", "1e308:1e308:1"],
+        # np.linspace steps by b - a
+        ["--lambda-re=-1.7e308:1e308:2", "--norm-a", "0:0.1:2"],
     ])
     def test_non_finite_grid_rejected(self, tmp_path, capsys, grid):
         out = tmp_path / "scan.csv"
         assert main(["scan", *grid, "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_lambda_near_float_max_fails_in_one_line(self, tmp_path, capsys):
+        # the form matrix halves its entries before it adds them: no overflow
+        # warning precedes the failure
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--lambda-re=-1e308:-1e308:1", "--lambda-im", "0",
+                     "--norm-a", "0:0:1", "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
         assert not out.exists()
 
     def test_unwritable_output_fails_before_the_grid(self, tmp_path, capsys, monkeypatch):
@@ -530,6 +544,14 @@ class TestVerifyCommand:
         assert out.startswith("mehler: pass")
         assert "involution" not in out
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_mehler_checks_general_draws_at_its_dimension(self, capsys, n):
+        assert main(["verify", "--suite", "mehler", "--n", str(n), "--seed", "5"]) == 0
+        assert capsys.readouterr().out.startswith("mehler: pass")
+        checks = verify.suite_mehler(seed=5, n=n).checks
+        general = [c for c in checks if c.label.startswith("general convolution")]
+        assert len(general) == 4 and all(c.ok for c in general)
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "nonsense"])
@@ -552,6 +574,32 @@ class TestOracleCommand:
         assert main(["oracle", path, "--experiment", "weyl"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["max_rel_error"] < 1e-6
+
+    GENERAL_N1 = (
+        "n: 1\nphi0:\n  hermitian: [[[0.25, 0.0]]]\n"
+        "q:\n  xx: [[[0.05, 0.1]]]\n  xbarx: [[[-0.3, 0.4]]]\n  xbarxbar: [[[0.02, -0.1]]]\n"
+    )
+
+    def test_weyl_reports_order_and_refinement(self, tmp_path, capsys):
+        path = tmp_path / "p.yaml"
+        path.write_text(self.GENERAL_N1)
+        assert main(["oracle", str(path), "--experiment", "weyl"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["points"]) == 3 and out["max_rel_error"] <= 1e-9
+        problem = load_problem(str(path))
+        assert out["order"] == oracle.weyl_convolution(problem, [2.0]).order > 1
+        assert 0.0 <= out["refinement"] <= 1e-12
+
+    def test_weyl_refinement_above_bound_exits_three(self, tmp_path, capsys, monkeypatch):
+        # a rule far below its derived order moves when the order is doubled
+        monkeypatch.setattr(oracle.WeylConvolution, "order", property(lambda self: 2))
+        path = tmp_path / "p.yaml"
+        path.write_text(self.GENERAL_N1)
+        assert main(["oracle", str(path), "--experiment", "weyl"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure:") and captured.err.count("\n") == 1
+        assert "doubled" in captured.err
 
     def test_coherent_experiment(self, tmp_path, capsys):
         path = write_model_file(tmp_path / "p.yaml", complex(-0.5))

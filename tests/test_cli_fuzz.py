@@ -45,6 +45,12 @@ ranges = st.one_of(
     st.builds(lambda a, b, k: f"{a}:{b}:{k}", values, values, steps),
     st.sampled_from(["", ":", "::", "0:1", "0:1:2:3", "a:b:c", "0.1:0.1:1"]),
 )
+# ||A|| near the float maximum: 2 ||A|| overflows from 8.99e307 on
+large = st.sampled_from(["8.9e307", "1e308", "1.7e308"])
+large_norm_ranges = st.one_of(
+    large.map(lambda v: f"{v}:{v}:1"),
+    st.tuples(numbers, large, st.integers(2, 3)).map(lambda t: "{}:{}:{}".format(*t)),
+)
 value_lists = st.one_of(
     st.lists(numbers, min_size=1, max_size=3, unique=True),
     st.lists(values, max_size=3),
@@ -52,7 +58,7 @@ value_lists = st.one_of(
 
 
 @settings(max_examples=100, deadline=None)
-@given(lambda_re=ranges, lambda_im=value_lists, norm_a=ranges)
+@given(lambda_re=ranges, lambda_im=value_lists, norm_a=st.one_of(ranges, large_norm_ranges))
 def test_scan_exits_with_a_code(lambda_re, lambda_im, norm_a):
     rc, err = run_cli(["scan", f"--lambda-re={lambda_re}", f"--lambda-im={lambda_im}",
                        f"--norm-a={norm_a}", "-o", os.devnull])

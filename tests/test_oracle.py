@@ -3,15 +3,22 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+import scipy.special
+from hypothesis import assume, given, settings, strategies as st
 
-from bargtop.errors import NotAbsolutelyConvergent, OracleRefusal, QuadratureDivergence
+import bargtop.oracle as oracle_module
+from bargtop.errors import (
+    NotAbsolutelyConvergent, NumericalFailure, OracleRefusal, QuadratureDivergence,
+)
 from bargtop.forms import ComplexQuadraticForm, Weight, quadratic_matrix, real_part_matrix
 from bargtop.model import ModelInstance, model_problem
 from bargtop.oracle import (
+    _WEYL_RULE_TOL,
     _block_order,
     _coherent_coefficients,
     _gaussian_exponent_matrix,
+    _hermite_log_rule,
+    _hermite_order,
     _log_monomial_norms_sq,
     _monomials,
     is_plateau,
@@ -21,6 +28,7 @@ from bargtop.oracle import (
     numeric_weyl,
     singular_decay,
     truncated_matrix,
+    weyl_convolution,
 )
 from bargtop.toeplitz import ToeplitzProblem, VerdictClass, classify_operator
 from bargtop.verify import random_admissible_problem
@@ -267,6 +275,65 @@ class TestNumericWeyl:
         x = np.array([0.5 - 0.3j, 0.2j])
         got = numeric_weyl(problem, x, order=40)
         assert abs(got - ws.evaluate(x)) / abs(ws.evaluate(x)) < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 2), st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.0, 2.0))
+    def test_general_draws_match_closed_form(self, n, seed, pluriharmonic, radius):
+        # non-diagonal H (n = 2), a pluriharmonic part or none, a general q
+        rng = np.random.default_rng(seed)
+        problem = random_admissible_problem(rng, n, pluriharmonic, levi_range=(0.2, 1.0))
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = radius * u / np.linalg.norm(u)
+        conv = weyl_convolution(problem, x)
+        # about 1 draw in 5000 has |alpha| > 60, where rounding in the rule
+        # nears 1e-12; TestHermiteRule covers that range on its own
+        assume(np.max(np.abs(conv.alpha)) <= 60.0)
+        ref = weyl_symbol(problem).evaluate(x)
+        got = numeric_weyl(problem, x)
+        assert abs(got - ref) <= 1e-9 * abs(ref)
+        assert abs(conv.value(2 * conv.order) - got) <= 1e-12 * abs(got)
+
+    def test_default_n2_rule_builds_no_tensor_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tensor grid built for the Weyl convolution")
+
+        problem = random_admissible_problem(np.random.default_rng(4), 2, pluriharmonic=True)
+        x = np.array([1.0 + 0.5j, -0.5j])
+        monkeypatch.setattr(oracle_module, "_tensor_chunks", refuse)
+        got = numeric_weyl(problem, x)
+        assert got == pytest.approx(weyl_symbol(problem).evaluate(x), rel=1e-9)
+
+
+class TestHermiteRule:
+    """The Weyl convolution's 1d rule: each factor is the integral of
+    e^{-s^2 + alpha s}, exactly sqrt(pi) e^{alpha^2/4}."""
+
+    @staticmethod
+    def remainder(alpha, order):
+        # the Gauss-Hermite remainder for e^{alpha s}, relative to the integral
+        return math.exp(2 * order * math.log(abs(alpha)) + math.lgamma(order + 1)
+                        - order * math.log(2.0) - math.lgamma(2 * order + 1))
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.5, -3.0, 12.0, 40.0, -75.0])
+    def test_derived_order_is_least_meeting_the_target(self, alpha):
+        order = _hermite_order(alpha)
+        assert self.remainder(alpha, order) <= _WEYL_RULE_TOL < self.remainder(alpha, order - 1)
+        s, log_w = _hermite_log_rule(order)
+        rule = np.exp(log_w + alpha * s - alpha ** 2 / 4.0).sum()
+        assert rule == pytest.approx(math.sqrt(math.pi), rel=1e-11)
+
+    def test_order_above_the_cap_is_refused(self):
+        with pytest.raises(NumericalFailure, match="order above"):
+            _hermite_order(200.0)
+
+    @pytest.mark.parametrize("order", [1, 2, 7, 40, 150, 151, 600])
+    def test_log_weights_match_scipy(self, order):
+        s, log_w = _hermite_log_rule(order)
+        nodes, weights = scipy.special.roots_hermite(order)
+        assert np.array_equal(s, nodes)
+        normal = weights > 1e-300  # the far weights of high orders underflow
+        assert np.max(np.abs(np.exp(log_w[normal]) / weights[normal] - 1.0)) <= 1e-11
+        assert np.exp(log_w).sum() == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
 
 class TestCoherentNorms:
