@@ -23,12 +23,9 @@ from .errors import (
 from .forms import (
     Admissibility,
     ComplexQuadraticForm,
-    PolarizedForm,
     Weight,
     check_admissible,
-    check_polar_nondegenerate,
     classification_tolerance,
-    polarize,
 )
 from .symplectic import (
     AntilinearInvolution,
@@ -39,7 +36,6 @@ from .symplectic import (
     canonical_from_phase,
     graph_point,
     involution_for_weight,
-    pluriharmonic_shear,
     positivity_certificate,
     symplectic_product,
 )

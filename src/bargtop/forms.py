@@ -10,6 +10,11 @@ Conventions (fixed once, used everywhere):
   with Qxx and Qxbxb symmetric.  The stored blocks then equal the
   Hessian blocks of q in (x, xbar).
 
+* The polarization of q, the substitution xbar -> theta, is the
+  holomorphic form q(y, theta) on C^{2n} with the same three blocks;
+  ``ComplexQuadraticForm.polar_value`` evaluates it, and ``value(x)`` is
+  its restriction to theta = conj(x).
+
 * A weight is Phi(x) = xbar.H x + Re(x.P x) with H Hermitian positive
   definite (the Levi form) and P complex symmetric (the pluriharmonic
   coefficient).
@@ -28,14 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalFailure
+
 __all__ = [
     "ComplexQuadraticForm",
     "Weight",
-    "PolarizedForm",
     "Admissibility",
-    "polarize",
     "check_admissible",
-    "check_polar_nondegenerate",
     "classification_tolerance",
     "parse_tolerance",
     "interleave",
@@ -227,22 +231,16 @@ class ComplexQuadraticForm:
         z = np.zeros((n, n), dtype=complex)
         return cls(z.copy(), z.copy(), z.copy())
 
-    def value(self, x) -> complex:
-        x = np.asarray(x, dtype=complex)
-        xb = np.conj(x)
+    def polar_value(self, y, theta) -> complex:
+        """(1/2) y.qxx y + theta.qxbx y + (1/2) theta.qxbxb theta."""
+        y = np.asarray(y, dtype=complex)
+        theta = np.asarray(theta, dtype=complex)
         return complex(
-            0.5 * x @ self.qxx @ x + xb @ self.qxbx @ x + 0.5 * xb @ self.qxbxb @ xb
+            0.5 * y @ self.qxx @ y + theta @ self.qxbx @ y + 0.5 * theta @ self.qxbxb @ theta
         )
 
-    def is_real_valued(self, tol: float = 1e-12) -> bool:
-        """True iff Im q(x) = 0 for all x: qxbxb = conj(qxx), qxbx Hermitian."""
-        scale = max(
-            np.max(np.abs(self.qxx)), np.max(np.abs(self.qxbx)),
-            np.max(np.abs(self.qxbxb)), 1.0,
-        )
-        ok_outer = np.max(np.abs(self.qxbxb - np.conj(self.qxx))) <= tol * scale
-        ok_mixed = np.max(np.abs(self.qxbx - self.qxbx.conj().T)) <= tol * scale
-        return bool(ok_outer and ok_mixed)
+    def value(self, x) -> complex:
+        return self.polar_value(x, np.conj(x))
 
     def __add__(self, other):
         return ComplexQuadraticForm(
@@ -301,11 +299,6 @@ class Weight:
         x = np.asarray(x, dtype=complex)
         return float((np.conj(x) @ self.h @ x).real + (x @ self.p @ x).real)
 
-    def herm_value(self, x) -> float:
-        """The Hermitian part, (Phi(x) + Phi(ix)) / 2 = xbar.H x."""
-        x = np.asarray(x, dtype=complex)
-        return float((np.conj(x) @ self.h @ x).real)
-
     def grad_x(self, x) -> np.ndarray:
         """Holomorphic gradient dPhi/dx = conj(H) xbar + P x."""
         x = np.asarray(x, dtype=complex)
@@ -333,50 +326,6 @@ def _record(cls, **fields):
 
 
 @dataclass
-class PolarizedForm:
-    """Holomorphic quadratic form on C^{2n} obtained by the substitution
-    xbar -> theta; restriction to theta = conj(y) recovers the source form.
-
-    G(y, theta) = (1/2) y.gyy y + theta.gty y + (1/2) theta.gtt theta
-    """
-
-    gyy: np.ndarray
-    gty: np.ndarray
-    gtt: np.ndarray
-
-    def __post_init__(self):
-        self.gyy = _check_symmetric(self.gyy, "gyy")
-        self.gtt = _check_symmetric(self.gtt, "gtt")
-        self.gty = np.asarray(self.gty, dtype=complex)
-
-    @property
-    def n(self) -> int:
-        return self.gyy.shape[0]
-
-    def value(self, y, theta) -> complex:
-        y = np.asarray(y, dtype=complex)
-        theta = np.asarray(theta, dtype=complex)
-        return complex(
-            0.5 * y @ self.gyy @ y + theta @ self.gty @ y + 0.5 * theta @ self.gtt @ theta
-        )
-
-    def hessian(self) -> np.ndarray:
-        """Full 2n x 2n Hessian in (y, theta)."""
-        return np.block([[self.gyy, self.gty.T], [self.gty, self.gtt]])
-
-
-def polarize(form) -> PolarizedForm:
-    """Polarization of a quadratic form (or weight) on C^n.
-
-    The unique holomorphic quadratic form on C^{2n} that equals the input
-    on the anti-diagonal theta = conj(y).
-    """
-    if isinstance(form, Weight):
-        form = form.as_form()
-    return PolarizedForm(form.qxx.copy(), form.qxbx.copy(), form.qxbxb.copy())
-
-
-@dataclass
 class Admissibility:
     """Outcome of the two admissibility checks for a (weight, form) pair."""
 
@@ -395,20 +344,29 @@ def check_admissible(weight: Weight, q: ComplexQuadraticForm, tol=None) -> Admis
 
     ``herm_margin`` is the smallest eigenvalue of the real form of
     (Phi_herm - Re q); ``det_margin`` is |det(2H - Qxbx)| normalized by the
-    matrix scale.  Both must exceed the classification tolerance.
+    matrix scale.  Both must exceed the classification tolerance.  Entries
+    near the float maximum that overflow the realified gap, the determinant
+    or its scale raise NumericalFailure: no margin is read off an infinity.
     """
     if tol is None:
         tol = classification_tolerance()
     if weight.n != q.n:
         raise ValueError("dimension mismatch between weight and form")
-    gap = realify(-q.qxx, weight.h - q.qxbx, -q.qxbxb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = realify(-q.qxx, weight.h - q.qxbx, -q.qxbxb)
+        d = 2.0 * weight.h - q.qxbx
+        det = abs(np.linalg.det(d))
+    if not (np.isfinite(gap).all() and np.isfinite(det)):
+        raise NumericalFailure("admissibility check overflows double precision")
     eigs = np.linalg.eigvalsh(gap)
     scale = float(np.max(np.abs(eigs))) if np.max(np.abs(eigs)) > 0 else 1.0
     herm_margin = float(eigs[0])
 
-    d = 2.0 * weight.h - q.qxbx
     dscale = float(np.linalg.norm(d, 2))
-    det_margin = float(abs(np.linalg.det(d)) / max(dscale, 1e-300) ** weight.n)
+    try:
+        det_margin = float(det / max(dscale, 1e-300) ** weight.n)
+    except OverflowError:
+        raise NumericalFailure("admissibility check overflows double precision") from None
 
     failures = []
     if herm_margin <= tol * scale:
@@ -421,18 +379,3 @@ def check_admissible(weight: Weight, q: ComplexQuadraticForm, tol=None) -> Admis
         )
     return Admissibility(not failures, herm_margin, det_margin, failures)
 
-
-def check_polar_nondegenerate(g: ComplexQuadraticForm, tol: float = 1e-12) -> bool:
-    """Non-degeneracy of the polarization of a form with Re g < 0.
-
-    Raises ValueError when the precondition Re g < 0 fails; a False return
-    on a valid input signals a numerical failure, not mathematics.
-    """
-    label, margin, _scale = classify_real_form(-real_part_matrix(g))
-    if label != "definite":
-        raise ValueError(
-            f"Re g is not negative definite (min eigenvalue of Re g = {-margin:.6e})"
-        )
-    hess = polarize(g).hessian()
-    sv = np.linalg.svd(hess, compute_uv=False)
-    return bool(sv[-1] > tol * sv[0])

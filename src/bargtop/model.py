@@ -70,11 +70,6 @@ class ModelInstance:
     def is_admissible(self) -> bool:
         return self.admissibility_margin > 0.0
 
-    @property
-    def boundedness_margin(self) -> float:
-        """(1 - |gamma|^2)/|gamma|^2 - 4 ||A||; sign decides the verdict."""
-        return model_subverdict(self).margin
-
 
 def model_problem(instance: ModelInstance) -> ToeplitzProblem:
     """The instance as a general problem on the weight |x|^2 / 4."""

@@ -63,7 +63,6 @@ __all__ = [
 class QuadratureSpec:
     rule: str
     order: int
-    radius: float | None = None  # rules truncate themselves; kept for provenance
 
 
 @dataclass
@@ -93,6 +92,40 @@ def _block_order(mat: np.ndarray) -> np.ndarray:
 def _require_small(problem: ToeplitzProblem) -> None:
     if problem.n > 2:
         raise OracleRefusal("oracle supports n <= 2")
+
+
+#: tensor rules with more points are chunked on their first dimension
+_MAX_TENSOR_POINTS = 500_000
+#: largest array a Galerkin section may allocate; its rule holds a few
+#: arrays of that size at once
+_GALERKIN_MAX_BYTES = 1 << 27
+
+
+def _basis_degree(n: int, size: int) -> int:
+    """Top total degree of the first ``size`` monomials in n <= 2 variables,
+    without listing them: the least d with C(d + n, n) >= size."""
+    if n == 1:
+        return size - 1
+    d = (math.isqrt(8 * size) - 3) // 2  # a lower bound
+    while math.comb(d + 2, 2) < size:
+        d += 1
+    return d
+
+
+def _galerkin_bytes(problem: ToeplitzProblem, size: int, order: int) -> int:
+    """Bytes of the largest array :func:`truncated_matrix` allocates for a
+    section of ``size`` with a rule of ``order``."""
+    if _is_radial(problem):
+        # the Gauss-Laguerre companion matrix (order, order) float, larger
+        # than the moment terms (size, order), and the diagonal section
+        order = max(order, size + 10)
+        return max(8 * order * order, 16 * size * size)
+    # per chunk of the tensor rule, monomial rows (size, points) and mapped
+    # points (points, 2n); the section (size, size); all complex
+    points = order ** (2 * problem.n)
+    if points > _MAX_TENSOR_POINTS:
+        points //= order
+    return 16 * max(size * points, 2 * problem.n * points, size * size)
 
 
 def _require_oracle_weight(weight: Weight) -> np.ndarray:
@@ -201,13 +234,10 @@ def _tensor_product(s, w, dims):
     return pts, wts
 
 
-def _tensor_chunks(s, w, dims, max_points=500_000):
-    """Yield (points, weights) pieces of the tensor rule; large rules are
-    chunked on the first dimension to bound memory."""
-    if dims == 1:
-        yield s[:, None], w
-        return
-    if s.size ** dims <= max_points:
+def _tensor_chunks(s, w, dims):
+    """Yield (points, weights) pieces of the tensor rule; rules above
+    ``_MAX_TENSOR_POINTS`` are chunked to bound memory."""
+    if s.size ** dims <= _MAX_TENSOR_POINTS:
         yield _tensor_product(s, w, dims)
         return
     rest_pts, rest_w = _tensor_product(s, w, dims - 1)
@@ -257,14 +287,20 @@ def truncated_matrix(problem: ToeplitzProblem, size: int, order: int | None = No
     Rotation invariance makes the matrix exactly diagonal for radial q at
     n = 1, and those entries are computed by an exact 1d moment rule.
     The default ``order`` is the basis degree plus one, the least order at
-    which the Gauss rule is exact for every entry.
+    which the Gauss rule is exact for every entry.  A section that would
+    allocate an array above ``_GALERKIN_MAX_BYTES`` is refused first.
     """
     problem.require_admissible()
     _require_small(problem)
     hdiag = _require_oracle_weight(problem.weight)
-    indices = monomial_indices(problem.n, size)
     if order is None:
-        order = max(sum(alpha) for alpha in indices) + 1
+        order = _basis_degree(problem.n, size) + 1
+    if _galerkin_bytes(problem, size, order) > _GALERKIN_MAX_BYTES:
+        raise OracleRefusal(
+            f"a Galerkin section of size {size} needs an array above the oracle's "
+            f"limit of {_GALERKIN_MAX_BYTES >> 20} MiB"
+        )
+    indices = monomial_indices(problem.n, size)
 
     if _is_radial(problem):
         order_radial = max(order, size + 10)

@@ -27,7 +27,6 @@ __all__ = [
     "symplectic_product",
     "graph_point",
     "involution_for_weight",
-    "pluriharmonic_shear",
     "canonical_from_phase",
     "normal_involution",
     "positivity_certificate",
@@ -188,18 +187,6 @@ def normal_involution(n: int) -> AntilinearInvolution:
     iota = _involution_closed_hermitian(_model_weight(n).h)
     iota.m.flags.writeable = False
     return iota
-
-
-def pluriharmonic_shear(a_matrix) -> LinearCanonicalMap:
-    """(y, eta) -> (y, eta - A y); maps the weight's graph onto the
-    Hermitian one when A = (2/i) P."""
-    a = np.asarray(a_matrix, dtype=complex)
-    n = a.shape[0]
-    if np.max(np.abs(a - a.T)) > 1e-12 * (np.max(np.abs(a)) + 1.0):
-        raise ValueError("shear coefficient must be symmetric")
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    return LinearCanonicalMap(np.block([[eye, zero], [-a, eye]]))
 
 
 @dataclass

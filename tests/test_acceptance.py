@@ -14,7 +14,7 @@ from bargtop.bergman import (
     growth_subverdict,
 )
 from bargtop.errors import DisagreementError
-from bargtop.forms import ComplexQuadraticForm, Weight, polarize
+from bargtop.forms import ComplexQuadraticForm, Weight
 from bargtop.model import ModelInstance, classify_model, model_problem
 from bargtop.oracle import numeric_coherent_norm, singular_decay, truncated_matrix
 from bargtop.symplectic import (
@@ -119,10 +119,10 @@ def test_criterion_4_bergman_identity():
     for n in (1, 2):
         w = random_weight(rng, n)
         f = bergman_exponent(ToeplitzProblem(w, ComplexQuadraticForm.zero(n)))
-        psi = polarize(w)
+        psi = w.as_form()
         for _ in range(50):
             x, z = (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
-            worst_triv = max(worst_triv, abs(f.value(x, z) - psi.value(x, z)))
+            worst_triv = max(worst_triv, abs(f.value(x, z) - psi.polar_value(x, z)))
     # model family blocks
     worst_model = 0.0
     for _ in range(25):

@@ -15,7 +15,7 @@ from bargtop.bergman import (
     growth_exponent,
     growth_subverdict,
 )
-from bargtop.forms import ComplexQuadraticForm, Weight, polarize, quadratic_matrix, uninterleave
+from bargtop.forms import ComplexQuadraticForm, Weight, quadratic_matrix, uninterleave
 from bargtop.model import ModelInstance, model_problem
 from bargtop.toeplitz import ToeplitzProblem, VerdictClass, classify_operator
 from bargtop.verify import random_admissible_problem, random_weight
@@ -64,12 +64,12 @@ class TestBergmanExponent:
         rng = np.random.default_rng(1)
         w = random_weight(rng, 2)
         f = bergman_exponent(ToeplitzProblem(w, ComplexQuadraticForm.zero(2)))
-        psi = polarize(w)
+        psi = w.as_form()
         assert np.max(np.abs(f.fxx)) < 1e-14
         assert np.max(np.abs(f.fzz)) < 1e-14
         for _ in range(50):
             x, z = cpx(rng, 2, 2)
-            assert f.value(x, z) == pytest.approx(psi.value(x, z), abs=1e-14)
+            assert f.value(x, z) == pytest.approx(psi.polar_value(x, z), abs=1e-14)
 
     def test_model_closed_form(self):
         rng = np.random.default_rng(2)

@@ -1,7 +1,10 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -316,7 +319,10 @@ def model_instances(draw):
     a = b + b.T
     norm = np.linalg.norm(a, 2)
     if norm > 0:
-        a *= draw(st.floats(0.0, 0.95)) * (0.25 - lam.real) / norm
+        scale = draw(st.floats(0.0, 0.95)) * (0.25 - lam.real)
+        # each real part divided by the norm: 1 / norm, which a complex
+        # division takes, overflows for a subnormal norm
+        a = (a.view(float) / norm).view(complex) * scale
     return model.ModelInstance(n, lam, a)
 
 
@@ -483,6 +489,20 @@ class TestScanCommand:
         assert err.startswith("numerical failure:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("grid", [
+        ["--lambda-re=1e308:1e308:1", "--lambda-im", "0", "--norm-a", "8.9e307:8.9e307:1"],
+        ["--lambda-re=-1e308:-1e308:1", "--lambda-im", "1e308", "--norm-a", "0:0:1"],
+    ], ids=["realified-gap", "determinant"])
+    def test_admissibility_overflow_fails_in_one_line(self, tmp_path, capsys, grid):
+        # the admissibility check's realified gap, or its determinant, meets
+        # the float maximum; no warning precedes the failure
+        out = tmp_path / "scan.csv"
+        assert main(["scan", *grid, "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unwritable_output_fails_before_the_grid(self, tmp_path, capsys, monkeypatch):
         def never(point):
             raise AssertionError("the grid ran")
@@ -626,6 +646,31 @@ class TestOracleCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["sizes"] == [10, 20, 40]
         assert all(b >= a for a, b in zip(out["norms"], out["norms"][1:]))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_huge_basis_refused_before_allocating(self, tmp_path, n):
+        # the child caps its own address space at 1 GiB before it imports
+        # bargtop, so that a regression fails here instead of exhausting the
+        # machine's memory
+        pytest.importorskip("resource")
+        path = (write_model_file(tmp_path / "p.yaml", complex(-0.5)) if n == 1
+                else str(Path(__file__).parent / "data" / "classify_n2.yaml"))
+        child = (
+            "import resource, runpy, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "sys.argv[0] = 'bargtop'\n"
+            "runpy.run_module('bargtop', run_name='__main__')\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "oracle", path, "--experiment", "trend",
+             "-N", "100000000000000000000"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("case", [
         "sizes abc", "sizes 0", "sizes -3", "sizes 10,,20",

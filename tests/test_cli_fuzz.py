@@ -35,7 +35,8 @@ def run_cli(argv):
 numbers = st.floats(-1.0, 1.0, allow_nan=False).map(repr)
 values = st.one_of(
     numbers,
-    st.sampled_from(["0", "-0.0", "0.25", "nan", "-inf", "inf", "1e400", "", "x", "1,2"]),
+    st.sampled_from(["0", "-0.0", "0.25", "1e308", "-1e308", "nan", "-inf", "inf", "1e400",
+                     "", "x", "1,2"]),
 )
 # step counts stay at most 3 so a grid holds at most 3 * 3 * 3 points
 steps = st.sampled_from(["-1", "0", "1", "2", "3", "2.5", "", "x"])

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bargtop.errors import NumericalFailure
 from bargtop.forms import (
     ComplexQuadraticForm,
     Weight,
     check_admissible,
-    check_polar_nondegenerate,
-    polarize,
     quadratic_matrix,
     real_part_matrix,
+    realify,
     uninterleave,
 )
 from bargtop.verify import random_admissible_problem
@@ -27,35 +27,52 @@ def model_q(lam, a):
 
 class TestPolarize:
     def test_zero_form(self):
-        g = polarize(ComplexQuadraticForm.zero(2))
-        assert np.all(g.gyy == 0) and np.all(g.gty == 0) and np.all(g.gtt == 0)
+        g = ComplexQuadraticForm.zero(2)
+        rng = np.random.default_rng(0)
+        for y, t in zip(rand_points(rng, 2, 20), rand_points(rng, 2, 20)):
+            assert g.polar_value(y, t) == 0.0
 
     def test_model_weight_polarization(self):
         # |x|^2/4 polarizes to x.y/4
-        g = polarize(Weight.model(1))
+        g = Weight.model(1).as_form()
         rng = np.random.default_rng(0)
         for x, y in zip(rand_points(rng, 1, 20), rand_points(rng, 1, 20)):
-            assert g.value(x, y) == pytest.approx((x @ y) / 4.0)
+            assert g.polar_value(x, y) == pytest.approx((x @ y) / 4.0)
 
     def test_model_symbol_polarization(self):
         lam, a = 0.1 + 0.2j, 0.05 - 0.01j
-        g = polarize(model_q(lam, a))
+        g = model_q(lam, a)
         rng = np.random.default_rng(1)
         for y, t in zip(rand_points(rng, 1, 20), rand_points(rng, 1, 20)):
             expect = lam * y[0] * t[0] + a * t[0] ** 2
-            assert g.value(y, t) == pytest.approx(expect, abs=1e-13)
+            assert g.polar_value(y, t) == pytest.approx(expect, abs=1e-13)
 
     def test_restriction_identity(self):
+        # value is the polarization at theta = conj(y), bit for bit
         rng = np.random.default_rng(2)
         for n in (1, 2):
             q = ComplexQuadraticForm(
                 _sym(rng, n), rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
                 _sym(rng, n),
             )
-            g = polarize(q)
             for y in rand_points(rng, n, 1000 // 2):
-                diff = abs(g.value(y, np.conj(y)) - q.value(y))
-                assert diff <= 1e-14 * (1.0 + np.sum(np.abs(y) ** 2)) * 20
+                assert q.polar_value(y, np.conj(y)) == q.value(y)
+
+    def test_holomorphic_in_each_variable(self):
+        # a quadratic form on C^{2n}: G(c y, c theta) = c^2 G(y, theta), and
+        # the cross term is bilinear, G(y, t) + G(y', t') - G(y + y', t + t')
+        # = -(theta'.Qxbx y + theta.Qxbx y' + y.Qxx y' + theta.Qxbxb theta')
+        rng = np.random.default_rng(3)
+        n = 2
+        q = ComplexQuadraticForm(_sym(rng, n), rng.standard_normal((n, n)) + 0j, _sym(rng, n))
+        for _ in range(20):
+            y, t, y2, t2 = rand_points(rng, n, 4)
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            assert q.polar_value(c * y, c * t) == pytest.approx(c * c * q.polar_value(y, t),
+                                                                rel=1e-13, abs=1e-13)
+            cross = t2 @ q.qxbx @ y + t @ q.qxbx @ y2 + y @ q.qxx @ y2 + t @ q.qxbxb @ t2
+            split = q.polar_value(y, t) + q.polar_value(y2, t2) - q.polar_value(y + y2, t + t2)
+            assert split == pytest.approx(-cross, rel=1e-12, abs=1e-12)
 
 
 def _sym(rng, n):
@@ -63,23 +80,9 @@ def _sym(rng, n):
     return (b + b.T) / 2
 
 
-class TestRealValued:
-    def test_predicate_matches_sampling(self):
-        rng = np.random.default_rng(3)
-        n = 2
-        # real-valued: qxbxb = conj(qxx), qxbx Hermitian
-        s = _sym(rng, n)
-        herm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        herm = (herm + herm.conj().T) / 2
-        real_form = ComplexQuadraticForm(s, herm, np.conj(s))
-        generic = ComplexQuadraticForm(s, herm + 0.1j * np.eye(n), np.conj(s) + 0.05 * np.eye(n))
-        for form, expect in ((real_form, True), (generic, False)):
-            sampled = all(
-                abs(form.value(x).imag) <= 1e-10 * (1 + np.sum(np.abs(x) ** 2))
-                for x in rand_points(rng, n, 1000)
-            )
-            assert form.is_real_valued() is expect
-            assert sampled is expect
+def herm_value(w, x):
+    """The Hermitian part of the weight, xbar.H x."""
+    return float((np.conj(x) @ w.h @ x).real)
 
 
 class TestWeight:
@@ -92,7 +95,7 @@ class TestWeight:
             w = Weight(h, _sym(rng, n) * 0.1)
             for x in rand_points(rng, n, 100):
                 half = 0.5 * (w.value(x) + w.value(1j * x))
-                assert half == pytest.approx(w.herm_value(x), rel=1e-14, abs=1e-12)
+                assert half == pytest.approx(herm_value(w, x), rel=1e-14, abs=1e-12)
 
     def test_degenerate_weight_rejected(self):
         with pytest.raises(ValueError, match="plurisubharmonic"):
@@ -118,15 +121,15 @@ class TestSplit:
         w = Weight.model(2)
         assert w.is_hermitian
         x = np.array([1.0 - 2.0j, 0.5j])
-        assert w.herm_value(x) == w.value(x)
+        assert herm_value(w, x) == w.value(x)
 
     def test_scalar_example(self):
         # Phi = |x|^2/4 + 0.1 Re(x^2)
         w = Weight(np.array([[0.25]]), np.array([[0.1]]))
         assert not w.is_hermitian
         x = np.array([1.0 + 1.0j])
-        assert w.herm_value(x) == pytest.approx(0.5)
-        assert w.value(x) - w.herm_value(x) == pytest.approx(0.1 * (x[0] ** 2).real, abs=1e-15)
+        assert herm_value(w, x) == pytest.approx(0.5)
+        assert w.value(x) - herm_value(w, x) == pytest.approx(0.1 * (x[0] ** 2).real, abs=1e-15)
 
     @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
     def test_is_hermitian_is_scale_free(self, scale):
@@ -142,9 +145,9 @@ class TestSplit:
         w = Weight(h, 0.2 * _sym(rng, 2))
         for x in rand_points(rng, 2, 100):
             plh = (x @ w.p @ x).real
-            assert w.herm_value(x) + plh == pytest.approx(w.value(x), rel=1e-14, abs=1e-12)
+            assert herm_value(w, x) + plh == pytest.approx(w.value(x), rel=1e-14, abs=1e-12)
             # the Hermitian part is the average over the rotation x -> i x
-            assert w.herm_value(x) == pytest.approx((w.value(x) + w.value(1j * x)) / 2,
+            assert herm_value(w, x) == pytest.approx((w.value(x) + w.value(1j * x)) / 2,
                                                     rel=1e-14, abs=1e-12)
 
 
@@ -175,30 +178,41 @@ class TestAdmissibility:
         assert not rep.ok
 
 
+    def test_margins_are_the_direct_formulas(self):
+        # bit for bit: the overflow guard leaves finite margins untouched
+        rng = np.random.default_rng(10)
+        for n in (1, 2, 3):
+            problem = random_admissible_problem(rng, n, pluriharmonic=True)
+            w, q = problem.weight, problem.q
+            rep = check_admissible(w, q)
+            d = 2.0 * w.h - q.qxbx
+            assert rep.herm_margin == np.linalg.eigvalsh(realify(-q.qxx, w.h - q.qxbx, -q.qxbxb))[0]
+            assert rep.det_margin == abs(np.linalg.det(d)) / np.linalg.norm(d, 2) ** n
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, qxbx, qxbxb", [
+        (1, [[1e308]], [[1.78e308]]),  # the realified gap
+        (2, -1e200 * np.eye(2), np.zeros((2, 2))),  # the determinant
+        (2, 0.5 - 1e200 * np.ones((2, 2)), np.zeros((2, 2))),  # its scale to the n-th power
+    ], ids=["gap", "determinant", "scale"])
+    def test_overflow_raises_numerical_failure(self, n, qxbx, qxbxb):
+        q = ComplexQuadraticForm(np.zeros((n, n)), qxbx, qxbxb)
+        with pytest.raises(NumericalFailure, match="overflows"):
+            check_admissible(Weight.model(n), q)
+
+
 class TestPolarNondegenerate:
-    def test_diagonal_case(self):
-        g = ComplexQuadraticForm(np.zeros((1, 1)), -np.eye(1), np.zeros((1, 1)))
-        assert check_polar_nondegenerate(g)
-        hess = polarize(g).hessian()
-        assert np.allclose(hess, np.array([[0, -1], [-1, 0]]))
-
-    def test_model_combination(self):
-        w = Weight.model(1)
-        q = model_q(0.0, 0.2)
-        g = q - 2.0 * w.as_form()
-        assert check_polar_nondegenerate(g)
-
-    def test_precondition_reported(self):
-        g = ComplexQuadraticForm(np.zeros((1, 1)), np.eye(1), np.zeros((1, 1)))
-        with pytest.raises(ValueError, match="negative definite"):
-            check_polar_nondegenerate(g)
-
     def test_random_admissible_always_nondegenerate(self):
+        # g = q - 2 Phi has Re g < 0, and its polarization's Hessian in
+        # (y, theta) is well conditioned
         rng = np.random.default_rng(7)
         for _ in range(100):
             problem = random_admissible_problem(rng, 2)
             g = problem.q - 2.0 * problem.weight.as_form()
-            assert check_polar_nondegenerate(g)
+            assert np.linalg.eigvalsh(real_part_matrix(g))[-1] < 0.0
+            hess = np.block([[g.qxx, g.qxbx.T], [g.qxbx, g.qxbxb]])
+            sv = np.linalg.svd(hess, compute_uv=False)
+            assert sv[-1] > 1e-12 * sv[0]
 
 
 class TestRealForm:

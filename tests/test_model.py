@@ -148,9 +148,8 @@ class TestConstruction:
         model_subverdict(inst)
         closed_form_map(inst)
         positivity_coefficients(inst)
-        assert (inst.gamma, inst.admissibility_margin, inst.boundedness_margin) == (
-            1 / (1 - 2 * inst.lam), 0.25 - inst.lam.real - inst.norm_a,
-            classify_model(inst).margin)
+        assert (inst.gamma, inst.admissibility_margin) == (
+            1 / (1 - 2 * inst.lam), 0.25 - inst.lam.real - inst.norm_a)
         assert len(calls) == 1
 
     def test_gamma_at_lambda_one_half(self):

@@ -148,6 +148,61 @@ class TestTruncatedMatrix:
             run(trivial_problem(3))
 
 
+class TestGalerkinBudget:
+    """A section whose largest array exceeds the oracle's byte budget is
+    refused before its basis is listed."""
+
+    @pytest.mark.parametrize("case", ["radial", "general", "n2", "n2 chunked"])
+    def test_counted_bytes_are_the_largest_array(self, monkeypatch, case):
+        seen = []
+        monomials, chunks = oracle_module._monomials, oracle_module._tensor_chunks
+
+        def record_monomials(*args):
+            rows = monomials(*args)
+            seen.append(rows.nbytes)
+            return rows
+
+        def record_chunks(*args):
+            for pts, wts in chunks(*args):
+                seen.append(16 * pts.size)  # the points mapped by G^{-1/2} are complex
+                yield pts, wts
+
+        monkeypatch.setattr(oracle_module, "_monomials", record_monomials)
+        monkeypatch.setattr(oracle_module, "_tensor_chunks", record_chunks)
+        if case == "n2 chunked":
+            monkeypatch.setattr(oracle_module, "_MAX_TENSOR_POINTS", 100)
+        problem = {
+            "radial": scalar_problem(-0.3 + 0.2j),
+            "general": scalar_problem(-0.3, 0.1),
+        }.get(case) or diagonal_levi_problem(np.random.default_rng(9), 2)
+        size = 40 if case == "radial" else 12
+        top = truncated_matrix(problem, size)
+        seen.append(top.t.nbytes)
+        order = max(sum(alpha) for alpha in top.indices) + 1
+        assert oracle_module._basis_degree(problem.n, size) + 1 == order
+        assert oracle_module._galerkin_bytes(problem, size, order) == max(seen)
+
+    def test_refused_before_the_basis_is_listed(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("basis listed")
+
+        monkeypatch.setattr(oracle_module, "monomial_indices", never)
+        for problem in (scalar_problem(-0.3 + 0.2j), scalar_problem(-0.3, 0.1),
+                        trivial_problem(2)):
+            with pytest.raises(OracleRefusal, match="MiB"):
+                truncated_matrix(problem, 10 ** 20)
+
+    def test_sizes_in_use_are_accepted(self):
+        # size 40 at the default order and at its double, as the refinement
+        # checks run it
+        for problem in (scalar_problem(-0.3 + 0.2j), scalar_problem(-0.3, 0.1),
+                        trivial_problem(2)):
+            order = oracle_module._basis_degree(problem.n, 40) + 1
+            for rule in (order, 2 * order):
+                assert oracle_module._galerkin_bytes(problem, 40, rule) <= (
+                    oracle_module._GALERKIN_MAX_BYTES)
+
+
 class TestExactOrder:
     """The default Galerkin order is the basis degree plus one: the Gauss
     rule is then exact for every entry, so doubling it changes nothing

@@ -12,7 +12,6 @@ from bargtop.symplectic import (
     canonical_from_phase,
     graph_point,
     involution_for_weight,
-    pluriharmonic_shear,
     positivity_certificate,
     symplectic_form_matrix,
     symplectic_product,
@@ -122,31 +121,20 @@ class TestInvolution:
 
 
 class TestShear:
-    def test_zero_is_identity(self):
-        s = pluriharmonic_shear(np.zeros((2, 2)))
-        assert np.allclose(s.k, np.eye(4))
-
-    def test_scalar_example(self):
-        s = pluriharmonic_shear(np.array([[-0.2j]]))
-        y, eta = 1.3 - 0.4j, 0.7j
-        out = s.apply(PhasePoint([y], [eta]))
-        assert out.x[0] == pytest.approx(y)
-        assert out.xi[0] == pytest.approx(eta + 0.2j * y)
-
     def test_moves_graph_onto_hermitian_graph(self):
+        # the normal map T, the pluriharmonic shear followed by the frame,
+        # carries the graph over x onto that of |x|^2/4 over M x
         rng = np.random.default_rng(5)
-        w = random_weight(rng, 2, pluriharmonic=True)
-        herm = Weight(w.h, np.zeros((2, 2)))
-        s = pluriharmonic_shear(-2j * w.p)
-        for _ in range(30):
-            x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            moved = s.apply(graph_point(w, x))
-            target = graph_point(herm, x)
-            assert np.max(np.abs(moved.vec - target.vec)) < 1e-12 * (1 + np.max(np.abs(target.vec)))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            pluriharmonic_shear(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for n in (1, 2, 3):
+            for pluriharmonic in (False, True):
+                w = random_weight(rng, n, pluriharmonic=pluriharmonic)
+                problem = ToeplitzProblem(w, ComplexQuadraticForm.zero(n))
+                t, _ = problem.normal_map()
+                for _ in range(30):
+                    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                    moved = t @ graph_point(w, x).vec
+                    target = graph_point(Weight.model(n), problem.frame @ x).vec
+                    assert np.max(np.abs(moved - target)) < 1e-14 * np.max(np.abs(target))
 
 
 class TestCanonicalFromPhase:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from bargtop.bergman import bergman_exponent
 from bargtop.errors import InadmissibleProblem
-from bargtop.forms import ComplexQuadraticForm, Weight, polarize
+from bargtop.forms import ComplexQuadraticForm, Weight
 from bargtop.symplectic import (
     _involution_closed_hermitian,
     graph_point,
@@ -48,10 +48,10 @@ class TestBuildPhase:
         w = Weight(np.array([[0.4, 0.1j], [-0.1j, 0.6]]), np.zeros((2, 2)))
         problem = ToeplitzProblem(w, ComplexQuadraticForm.zero(2))
         phase = build_phase(problem)
-        psi = polarize(w)
+        psi = w.as_form()
         for _ in range(30):
             x, y, t = cpx(rng, 3, 2)
-            expect = -2j * (psi.value(x, t) - psi.value(y, t))
+            expect = -2j * (psi.polar_value(x, t) - psi.polar_value(y, t))
             assert phase.value(x, y, t) == pytest.approx(expect, abs=1e-12)
 
     def test_restriction_reproduces_weight_difference(self):
@@ -60,11 +60,11 @@ class TestBuildPhase:
         q = ComplexQuadraticForm(np.array([[0.02j]]), np.array([[-0.2]]), np.array([[0.05]]))
         problem = ToeplitzProblem(w, q)
         phase = build_phase(problem)
-        psi = polarize(w)
+        psi = w.as_form()
         for _ in range(50):
             x, y = cpx(rng, 2, 1)
             got = 1j * phase.value(x, y, np.conj(y))
-            expect = 2.0 * (psi.value(x, np.conj(y)) - w.value(y)) + q.value(y)
+            expect = 2.0 * (psi.polar_value(x, np.conj(y)) - w.value(y)) + q.value(y)
             assert got == pytest.approx(expect, abs=1e-12)
 
     def test_inadmissible_rejected(self):
