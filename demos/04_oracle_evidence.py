@@ -13,13 +13,9 @@ import numpy as np
 
 from bargtop.forms import ComplexQuadraticForm, Weight
 from bargtop.model import ModelInstance, model_problem
-from bargtop.oracle import (
-    norm_trend,
-    is_plateau,
-    numeric_coherent_norm,
-    singular_decay,
-)
+from bargtop.oracle import norm_trend, is_plateau, singular_decay
 from bargtop.toeplitz import ToeplitzProblem, classify_operator
+from bargtop.verify import COHERENT_RADII, coherent_slope
 
 CASES = [
     ("identity (q = 0)", None),
@@ -49,10 +45,7 @@ if __name__ == "__main__":
               + (f" (|gamma| = {abs(1/(1-2*lam)):.4f})" if lam is not None else ""))
 
     print("\ncoherent-state growth (log-norm slope in |w|^2):")
-    radii = np.array([1.0, 2.0, 4.0])
     for name, lam in CASES[1:]:
-        problem = problem_for(lam)
-        logs = [np.log(numeric_coherent_norm(problem, [r])) for r in radii]
-        slope = np.polyfit(radii ** 2, logs, 1)[0]
+        _, slope = coherent_slope(problem_for(lam), COHERENT_RADII)
         g2 = abs(1 / (1 - 2 * lam)) ** 2
         print(f"  {name}: measured {slope:+.5f}, predicted {(g2 - 1) / 4:+.5f}")

@@ -99,6 +99,10 @@ _MAX_TENSOR_POINTS = 500_000
 #: largest array a Galerkin section may allocate; its rule holds a few
 #: arrays of that size at once
 _GALERKIN_MAX_BYTES = 1 << 27
+#: largest order whose nodes and weights ``np.polynomial.laguerre.laggauss``
+#: computes without overflow (measured with NumPy 2.4; 187 overflows); the
+#: radial path's rule has order size + 10, so its sections stop at size 176
+_LAGUERRE_MAX_ORDER = 186
 
 
 def _basis_degree(n: int, size: int) -> int:
@@ -288,7 +292,8 @@ def truncated_matrix(problem: ToeplitzProblem, size: int, order: int | None = No
     n = 1, and those entries are computed by an exact 1d moment rule.
     The default ``order`` is the basis degree plus one, the least order at
     which the Gauss rule is exact for every entry.  A section that would
-    allocate an array above ``_GALERKIN_MAX_BYTES`` is refused first.
+    allocate an array above ``_GALERKIN_MAX_BYTES``, or a radial one whose
+    rule's order exceeds ``_LAGUERRE_MAX_ORDER``, is refused first.
     """
     problem.require_admissible()
     _require_small(problem)
@@ -304,6 +309,11 @@ def truncated_matrix(problem: ToeplitzProblem, size: int, order: int | None = No
 
     if _is_radial(problem):
         order_radial = max(order, size + 10)
+        if order_radial > _LAGUERRE_MAX_ORDER:
+            raise OracleRefusal(
+                f"a radial Galerkin section of size {size} needs a Gauss-Laguerre rule of "
+                f"order {order_radial}, above the largest finite one ({_LAGUERRE_MAX_ORDER})"
+            )
         t = np.diag(_radial_diagonal(problem, size, order_radial).astype(complex))
         spec = QuadratureSpec("gauss-laguerre-rotated", order_radial)
         return TruncatedOperator(size, t, spec, indices)

@@ -3,9 +3,11 @@ independent construction or against brute force, with explicit margins.
 
 The general-weight constructions (:func:`build_phase`,
 :func:`canonical_map`, :func:`coherent_route_map`) live here as the
-references for the normal-form kernels that classify uses.  The suites
-double as the randomized instance generators used by the test suite; all
-randomness is seeded.
+references for the normal-form kernels that classify uses, and the oracle
+experiments that compare with a closed form (:func:`weyl_evidence`,
+:func:`coherent_evidence`) so that :mod:`bargtop.oracle` reads none.  The
+suites double as the randomized instance generators used by the test
+suite; all randomness is seeded.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ __all__ = [
     "random_admissible_problem",
     "random_admissible_lambda",
     "factorization_residual",
+    "weyl_evidence",
+    "coherent_slope",
+    "coherent_evidence",
 ]
 
 
@@ -161,6 +166,62 @@ def factorization_residual(problem: ToeplitzProblem) -> float:
     t, t_inv = problem.normal_map()
     recomposed = t_inv @ canonical_from_phase(normal_phase(problem.normal.q)).k @ t
     return float(np.max(np.abs(k_full - recomposed)) / max(1.0, np.max(np.abs(k_full))))
+
+
+# ---------------------------------------------------------------------------
+# oracle evidence: brute force next to the closed form
+
+#: largest relative change of the Weyl convolution under a doubled order;
+#: ``max_rel_error`` is held to the same bound
+WEYL_REFINEMENT_BOUND = 1e-6
+#: the radii r of the coherent states at r e_1 whose log-norms are fitted
+COHERENT_RADII = (1.0, 2.0, 4.0)
+
+
+def weyl_evidence(problem: ToeplitzProblem) -> dict:
+    """The Weyl convolution against the closed form over 0, e_1 and 2 e_1,
+    with its derived order and its change when that order is doubled; a
+    change above ``WEYL_REFINEMENT_BOUND`` raises ``NumericalFailure``."""
+    from .io import cpx  # only here: importing bargtop compiles no file-format regex
+    symbol = weyl.weyl_symbol(problem)
+    e1 = np.eye(problem.n, dtype=complex)[0]
+    rows, orders, refinement = [], [], 0.0
+    for pt in (0.0 * e1, e1, 2.0 * e1):
+        conv = oracle.weyl_convolution(problem, pt)
+        orders.append(conv.order)
+        num = conv.value(orders[-1])
+        # self-check: the same rule at twice the derived order
+        fine = conv.value(2 * orders[-1])
+        refinement = max(refinement, abs(fine - num) / max(abs(fine), 1e-300))
+        ref = symbol.evaluate(pt)
+        rows.append({"x": [cpx(v) for v in pt], "numeric": cpx(num), "closed_form": cpx(ref),
+                     "rel_error": abs(num - ref) / max(abs(ref), 1e-300)})
+    if refinement > WEYL_REFINEMENT_BOUND:
+        raise NumericalFailure(f"Weyl convolution moves by {refinement:.3e} relative when its "
+                               f"order is doubled (bound {WEYL_REFINEMENT_BOUND:.0e})")
+    return {"experiment": "weyl", "points": rows,
+            "max_rel_error": max(row["rel_error"] for row in rows),
+            "order": max(orders), "refinement": refinement}
+
+
+def coherent_slope(problem: ToeplitzProblem, radii) -> tuple:
+    """(log-norms, slope): the log-norms of the operator applied to the
+    normalized coherent states at r e_1 for r in ``radii``, and the slope of
+    their least-squares line in r^2."""
+    e1 = np.eye(problem.n, dtype=complex)[0]
+    logs = [float(np.log(oracle.numeric_coherent_norm(problem, r * e1))) for r in radii]
+    return logs, float(np.polyfit(np.asarray(radii) ** 2, logs, 1)[0])
+
+
+def coherent_evidence(problem: ToeplitzProblem) -> dict:
+    """The coherent log-norm slope next to the slope the Bergman growth
+    exponent predicts, half its value at e_1 (``"inf"`` when unbounded)."""
+    logs, slope = coherent_slope(problem, COHERENT_RADII)
+    # the coherent norms refused a pluriharmonic part: the weight is Hermitian
+    growth = bergman.growth_exponent(bergman.bergman_exponent(problem), problem.weight,
+                                     np.eye(problem.n, dtype=complex)[0])
+    return {"experiment": "coherent", "radii": list(COHERENT_RADII), "log_norms": logs,
+            "slope": slope, "predicted_slope": growth / 2.0 if math.isfinite(growth) else "inf"}
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +412,10 @@ def suite_diagonal(seed: int = 0, n: int = 1) -> SuiteResult:
 
 def suite_slopes(seed: int = 0, n: int = 1) -> SuiteResult:
     res = SuiteResult("slopes")
-    radii = np.array([1.0, 2.0, 4.0])
     for lam in (-0.5, 0.2):
         inst = model.ModelInstance(1, lam, np.zeros((1, 1)))
         problem = model.model_problem(inst)
-        logs = [
-            np.log(oracle.numeric_coherent_norm(problem, np.array([r + 0.0j])))
-            for r in radii
-        ]
-        slope = np.polyfit(radii ** 2, logs, 1)[0]
+        _, slope = coherent_slope(problem, COHERENT_RADII)
         expect = (abs(inst.gamma) ** 2 - 1.0) / 4.0
         res.add(f"log-norm slope lam={lam}", abs(slope - expect) / abs(expect), 1e-2)
         # growth exponent closed form: (|gamma|^2 - 1) |w|^2 / 2

@@ -13,9 +13,31 @@ import yaml
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import bargtop.cli as cli
-from bargtop import model, oracle, verify
-from bargtop.cli import main, load_problem
+from bargtop import io, model, oracle, verify
+from bargtop.cli import main
 from bargtop.errors import ProblemFileError
+from bargtop.io import load_problem
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def run_capped(*argv, cwd=None):
+    """``bargtop argv`` in a child that caps its own address space at 1 GiB
+    before it imports bargtop, so that a regression fails the test instead
+    of exhausting the machine's memory."""
+    pytest.importorskip("resource")
+    child = (
+        "import resource, runpy, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "sys.argv[0] = 'bargtop'\n"
+        "runpy.run_module('bargtop', run_name='__main__')\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", child, *argv],
+                          env=env, cwd=cwd, capture_output=True, text=True, timeout=60)
 
 
 def write_model_file(path, lam, a=0.0, extra=""):
@@ -105,10 +127,10 @@ class TestProblemFiles:
             extra="tolerances:\n  classification: 1.0e-7\n",
         )
         # a canonical file: make both loaders read it
-        monkeypatch.setattr(cli, "_read_canonical", lambda text: None)
+        monkeypatch.setattr(io, "_read_canonical", lambda text: None)
         loaded = []
         for loader in (yaml.CSafeLoader, yaml.SafeLoader):
-            monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+            monkeypatch.setattr(io, "_YAML_LOADER", loader)
             loaded.append(load_problem(path))
         c, py = loaded
         for block in ("h", "p"):
@@ -343,8 +365,8 @@ class TestClosedFormThroughFiles:
             {"n": inst.n, "phi0": {"hermitian": pairs["hermitian"]},
              "q": {"xbarx": pairs["xbarx"], "xbarxbar": pairs["xbarxbar"]}},
             default_flow_style=False))
-        assert cli._read_canonical(flow.read_text()) is not None
-        assert cli._read_canonical(block.read_text()) is None
+        assert io._read_canonical(flow.read_text()) is not None
+        assert io._read_canonical(block.read_text()) is None
         outputs = []
         for path in (flow, block):
             assert main(["classify", str(path)]) == 0
@@ -530,6 +552,27 @@ class TestScanCommand:
         assert err.startswith("error: --workers:") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_grid_above_row_limit_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(cli.np, "linspace", never)
+        out = tmp_path / "scan.csv"
+        steps = cli._SCAN_MAX_ROWS // 2 + 1
+        assert main(["scan", f"--lambda-re=0:0.2:{steps}", "--lambda-im", "0,0.5",
+                     "--norm-a", "0:0:1", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the grid has") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_huge_grid_refused_under_address_space_limit(self, tmp_path):
+        # 5e11 rows: the old scan ended in a 745 GiB allocation traceback
+        proc = run_capped("scan", "--lambda-re=-2:0.24:100000000000", "--lambda-im", "0",
+                          "--norm-a", "0:0.2:5", "-o", "x.csv", cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("via_link", [False, True])
     def test_failed_grid_leaves_no_csv(self, tmp_path, capsys, monkeypatch, via_link):
         from bargtop.errors import NumericalFailure
@@ -649,28 +692,37 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_huge_basis_refused_before_allocating(self, tmp_path, n):
-        # the child caps its own address space at 1 GiB before it imports
-        # bargtop, so that a regression fails here instead of exhausting the
-        # machine's memory
-        pytest.importorskip("resource")
         path = (write_model_file(tmp_path / "p.yaml", complex(-0.5)) if n == 1
-                else str(Path(__file__).parent / "data" / "classify_n2.yaml"))
-        child = (
-            "import resource, runpy, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "sys.argv[0] = 'bargtop'\n"
-            "runpy.run_module('bargtop', run_name='__main__')\n"
-        )
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", child, "oracle", path, "--experiment", "trend",
-             "-N", "100000000000000000000"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+                else str(DATA / "classify_n2.yaml"))
+        proc = run_capped("oracle", path, "--experiment", "trend", "-N", "100000000000000000000")
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sizes", ["180", "1000000"])
+    def test_radial_rule_beyond_its_finite_order_refused(self, tmp_path, capsys, sizes):
+        # Gauss-Laguerre overflows from order 187; size 180 ended in an SVD
+        # that did not converge
+        path = write_model_file(tmp_path / "p.yaml", complex(-0.5, 0.1))
+        assert main(["oracle", path, "--experiment", "trend", "-N", sizes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    SEPARABLE_N1 = "n: 1\nphi0:\n  hermitian: [[[0.25, 0.0]]]\nq:\n  xbarx: [[[-0.4, 0.2]]]\n"
+
+    @pytest.mark.parametrize("experiment,source", [
+        ("weyl", "separable"), ("coherent", "separable"), ("weyl", "classify_n2"),
+    ])
+    def test_output_is_the_verify_evidence(self, tmp_path, capsys, experiment, source):
+        path = tmp_path / "p.yaml"
+        if source == "separable":
+            path.write_text(self.SEPARABLE_N1)
+        else:
+            path = DATA / "classify_n2.yaml"
+        assert main(["oracle", str(path), "--experiment", experiment]) == 0
+        evidence = getattr(verify, f"{experiment}_evidence")(load_problem(str(path)))
+        assert capsys.readouterr().out == io.json_text(evidence) + "\n"
 
     @pytest.mark.parametrize("case", [
         "sizes abc", "sizes 0", "sizes -3", "sizes 10,,20",
@@ -701,3 +753,13 @@ class TestOracleCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestBenchmarkNames:
+    """perfbench calls bargtop.cli.main and load_problem, and traces
+    cli.load_problem, cli.build_report and cli.main by these names."""
+
+    def test_cli_keeps_the_names(self):
+        assert cli.load_problem is io.load_problem
+        assert cli.json_text is io.json_text
+        assert callable(cli.build_report) and callable(cli.main)

@@ -79,3 +79,10 @@ def test_verify_runs_from_module_entry_point():
     proc = fresh_python("-m", "bargtop", "verify", "--suite", "mehler")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("mehler: pass")
+
+
+def test_package_import_leaves_the_file_format_unloaded():
+    # bargtop.io compiles the canonical reader's regex, about 8 ms, at import
+    proc = fresh_python("-c", "import sys, bargtop; print('bargtop.io' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

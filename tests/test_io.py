@@ -1,4 +1,4 @@
-"""Problem-file loading and report writing in the CLI.
+"""Problem-file loading and report writing (``bargtop.io``).
 
 Canonical problem files go through a strict reader of their own and every
 other file through one ``yaml.load``; the whole read path must give what
@@ -22,6 +22,7 @@ import yaml
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import bargtop.cli as cli
+from bargtop import io
 from bargtop.cli import main
 from bargtop.errors import ProblemFileError
 
@@ -78,8 +79,8 @@ def read_both(tmp_path, text, loader):
     path.write_text(text)
     out = []
     try:
-        with mock.patch.object(cli, "_YAML_LOADER", loader):
-            out.append(canonical(cli._read_problem_data(str(path))))
+        with mock.patch.object(io, "_YAML_LOADER", loader):
+            out.append(canonical(io._read_problem_data(str(path))))
     except ProblemFileError as exc:
         assert str(exc).startswith(f"{path}: not valid YAML: ") and "\n" not in str(exc)
         out.append("error")
@@ -148,8 +149,8 @@ class TestLoader:
         read, loaded = read_both(tmp_path, text, loader)
         assert read == loaded
         path = tmp_path / "p.yaml"
-        with mock.patch.object(cli, "_YAML_LOADER", loader):
-            data = cli._read_problem_data(str(path))
+        with mock.patch.object(io, "_YAML_LOADER", loader):
+            data = io._read_problem_data(str(path))
         assert data["one"] == {"x": -2.5, "y": data["all"], "w": 1}
         assert data["base"]["y"] is data["all"]
         assert [type(v).__name__ for v in data["all"][:8]] == ["str"] * 2 + ["float"] * 6
@@ -165,15 +166,15 @@ class TestLoader:
         # libyaml would compose 3000 levels; the guard refuses them first
         path = tmp_path / "p.yaml"
         path.write_text("a: " + "[" * 3000 + "1.5" + "]" * 3000 + "\n")
-        with mock.patch.object(cli, "_YAML_LOADER", yaml.CSafeLoader):
+        with mock.patch.object(io, "_YAML_LOADER", yaml.CSafeLoader):
             with pytest.raises(ProblemFileError, match="nested deeper than 64 levels"):
-                cli._read_problem_data(str(path))
+                io._read_problem_data(str(path))
 
     @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
     def test_syntax_error_is_one_line(self, tmp_path, capsys, loader):
         path = tmp_path / "p.yaml"
         path.write_text("n: 1\nphi0: [1\n")
-        with mock.patch.object(cli, "_YAML_LOADER", loader):
+        with mock.patch.object(io, "_YAML_LOADER", loader):
             assert main(["classify", str(path)]) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(rf"error: {re.escape(str(path))}: not valid YAML: "
@@ -270,7 +271,7 @@ def mutated_documents(draw):
 
 def assert_reads_as_yaml(text):
     """The reader returns None or, for every loader, exactly what yaml.load returns."""
-    data = cli._read_canonical(text)
+    data = io._read_canonical(text)
     if data is None:
         return None
     for loader in LOADERS:
@@ -330,7 +331,7 @@ class TestCanonicalReader:
          ["1e-5", "1.0e5", ".5", "+1.0", "1.", "017", "0x1F", "1_000.5", "1.0E5", "1:30", "-.inf"]],
     )
     def test_leaves_other_text_to_pyyaml(self, text):
-        assert cli._read_canonical(text) is None
+        assert io._read_canonical(text) is None
 
     def test_readme_example_takes_the_strict_path(self):
         assert "#" in README_EXAMPLE
@@ -346,7 +347,7 @@ class TestCanonicalReader:
     ], ids=["digit-run", "backtracking", "nesting", "unclosed", "int-digit-limit"])
     def test_linear_time_on_hostile_values(self, text):
         start = time.perf_counter()
-        assert cli._read_canonical(text) is None
+        assert io._read_canonical(text) is None
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
@@ -368,10 +369,10 @@ class TestCanonicalReader:
             text += f"tolerances:\n  classification: {data.draw(numbers)}\n"
         path = tmp_path / "p.yaml"
         path.write_text(text)
-        assert cli._read_canonical(text) is not None
-        with mock.patch.object(cli, "_YAML_LOADER", loader):
+        assert io._read_canonical(text) is not None
+        with mock.patch.object(io, "_YAML_LOADER", loader):
             strict = problem_outcome(str(path))
-            with mock.patch.object(cli, "_read_canonical", return_value=None):
+            with mock.patch.object(io, "_read_canonical", return_value=None):
                 fallback = problem_outcome(str(path))
         assert strict == fallback
 
@@ -379,7 +380,7 @@ class TestCanonicalReader:
 def problem_outcome(path):
     """The problem's matrices as float bits and its tolerance, or the exception raised."""
     try:
-        problem = cli.load_problem(path)
+        problem = io.load_problem(path)
     except Exception as exc:  # extreme draws also fail past the reader, the same way
         assert not isinstance(exc, Warning), exc  # raised under filterwarnings = error
         return (type(exc).__name__, str(exc))
@@ -396,7 +397,7 @@ def reference_matrix(rows, n, where):
         if not isinstance(row, list) or len(row) != n:
             raise ProblemFileError(f"{where}[{i}]: expected {n} entries")
         for j, entry in enumerate(row):
-            out[i, j] = cli._complex_entry(entry, f"{where}[{i}][{j}]")
+            out[i, j] = io._complex_entry(entry, f"{where}[{i}][{j}]")
     return out
 
 
@@ -423,7 +424,7 @@ class TestMatrices:
         mixed = st.lists(st.lists(self.entries, min_size=n - 1, max_size=n + 1),
                          min_size=n - 1, max_size=n + 1)
         rows = data.draw(square(self.numbers) | square(self.scalars) | mixed)
-        assert outcome(cli._complex_matrix, rows, n, "m") == outcome(reference_matrix, rows, n, "m")
+        assert outcome(io._complex_matrix, rows, n, "m") == outcome(reference_matrix, rows, n, "m")
 
     def test_oversized_integer_exits_two(self, tmp_path, capsys):
         path = tmp_path / "p.yaml"
@@ -445,18 +446,18 @@ class TestMatrices:
     def test_load_problem_equals_yaml_load_path(self, tmp_path, loader, text):
         path = tmp_path / "p.yaml"
         path.write_text(text)
-        with mock.patch.object(cli, "_YAML_LOADER", loader):
-            problem = cli.load_problem(str(path))
+        with mock.patch.object(io, "_YAML_LOADER", loader):
+            problem = io.load_problem(str(path))
         data = yaml.load(text, Loader=loader)
         n = data["n"]
         zero = [[[0.0, 0.0]] * n for _ in range(n)]
         phi, q = data["phi0"], data.get("q", {})
-        ref = cli.ToeplitzProblem(
-            cli.Weight(reference_matrix(phi["hermitian"], n, "h"),
+        ref = io.ToeplitzProblem(
+            io.Weight(reference_matrix(phi["hermitian"], n, "h"),
                        reference_matrix(phi.get("pluriharmonic", zero), n, "p")),
-            cli.ComplexQuadraticForm(*(reference_matrix(q.get(k, zero), n, k)
+            io.ComplexQuadraticForm(*(reference_matrix(q.get(k, zero), n, k)
                                        for k in ("xx", "xbarx", "xbarxbar"))),
-            cli._file_tolerance(data),
+            io._file_tolerance(data),
         )
         for got, want in ((problem.weight.h, ref.weight.h), (problem.weight.p, ref.weight.p),
                           (problem.q.qxx, ref.q.qxx), (problem.q.qxbx, ref.q.qxbx),
@@ -520,8 +521,8 @@ class TestHostileFiles:
         path.write_text(text)
         outcomes = []
         for strict in (True, False):
-            with mock.patch.object(cli, "_read_canonical",
-                                   cli._read_canonical if strict else (lambda text: None)):
+            with mock.patch.object(io, "_read_canonical",
+                                   io._read_canonical if strict else (lambda text: None)):
                 start = time.perf_counter()
                 rc = main(["classify", str(path)])
                 assert time.perf_counter() - start < 5.0
@@ -540,7 +541,7 @@ class TestHostileFiles:
         # otherwise end in RecursionError; each `[a:` opens two levels
         path = tmp_path / "p.yaml"
         path.write_text("n: 1\nphi0:\n  hermitian:" + value)
-        with mock.patch.object(cli, "_YAML_LOADER", loader):
+        with mock.patch.object(io, "_YAML_LOADER", loader):
             assert main(["classify", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {path}: not valid YAML: nested deeper than 64 levels\n"
@@ -597,13 +598,13 @@ class TestWriter:
     @settings(max_examples=120, deadline=None)
     @given(obj=reports)
     def test_equals_json_dumps(self, obj):
-        assert cli.json_text(obj) == json.dumps(plain(obj), indent=2, sort_keys=True)
+        assert io.json_text(obj) == json.dumps(plain(obj), indent=2, sort_keys=True)
 
     def test_report_keeps_arrays(self):
-        problem = cli.load_problem(str(DATA / "classify_n2.yaml"))
+        problem = io.load_problem(str(DATA / "classify_n2.yaml"))
         report = cli.build_report(cli.classify_operator(problem), 0.0)
         assert isinstance(report["kappa"], np.ndarray) and report["kappa"].dtype == complex
-        assert cli.json_text(report) == json.dumps(plain(report), indent=2, sort_keys=True)
+        assert io.json_text(report) == json.dumps(plain(report), indent=2, sort_keys=True)
 
     def test_classify_stdout_matches_golden_bytes(self, capsys):
         # the report of the json.dumps writer, timing aside

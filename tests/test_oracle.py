@@ -203,6 +203,32 @@ class TestGalerkinBudget:
                     oracle_module._GALERKIN_MAX_BYTES)
 
 
+class TestLaguerreLimit:
+    """The radial path's Gauss-Laguerre rule has order size + 10; an order
+    whose rule overflows is refused before the rule is computed."""
+
+    def test_largest_order_is_finite(self):
+        s, w = np.polynomial.laguerre.laggauss(oracle_module._LAGUERRE_MAX_ORDER)
+        assert np.all(np.isfinite(s)) and np.all(np.isfinite(w)) and np.all(w >= 0.0)
+
+    @pytest.mark.parametrize("size,order", [(177, None), (180, None), (10 ** 6, None), (40, 187)])
+    def test_refused_before_the_rule_runs(self, monkeypatch, size, order):
+        def never(*args):
+            raise AssertionError("rule computed")
+
+        monkeypatch.setattr(np.polynomial.laguerre, "laggauss", never)
+        with pytest.raises(OracleRefusal):
+            truncated_matrix(scalar_problem(-0.5 + 0.1j), size, order=order)
+
+    def test_largest_size_is_the_diagonal_law(self):
+        # lam = -1/2 at H = 1/4: the entries are gamma^{k+1}, gamma = 1/2
+        size = oracle_module._LAGUERRE_MAX_ORDER - 10
+        top = truncated_matrix(scalar_problem(-0.5), size)
+        assert top.spec.order == oracle_module._LAGUERRE_MAX_ORDER
+        expect = 0.5 ** np.arange(1, size + 1)
+        assert np.max(np.abs(np.diag(top.t) - expect) / expect) < 1e-10
+
+
 class TestExactOrder:
     """The default Galerkin order is the basis degree plus one: the Gauss
     rule is then exact for every entry, so doubling it changes nothing
