@@ -15,17 +15,21 @@ relative accuracy of the small matrix entries; the scaled rule does not.
 
 A Galerkin entry integrates a product of two basis monomials, a polynomial
 of total degree at most 2 d for basis degree d, so order d + 1 is already
-exact and is the default.  The Weyl convolution keeps its whole exponent,
-quadratic and linear, in the Gaussian: after the scaling and a shift of
-the contour by the imaginary part of the linear term, each of its 2n
-factors is the integral of e^{-s^2 + alpha s} with real alpha, and its
-order is derived from the Gauss-Hermite remainder for e^{alpha s}.  The
-tensor rule for that product is the product of the 1d sums.  The
+exact and is the default; each row of monomials at the nodes is filled in
+place from its parent's by one multiply.  The Weyl convolution keeps its
+whole exponent, quadratic and linear, in the Gaussian: after the scaling
+and a shift of the contour by the imaginary part of the linear term, each
+of its 2n factors is the integral of e^{-s^2 + alpha s} with real alpha,
+and its order is derived from the Gauss-Hermite remainder for e^{alpha s}.
+The tensor rule for that product is the product of the 1d sums.  The
 coherent-state kernel is not polynomial; its order is fixed empirically.
-Nodes and weights come from ``scipy.special.roots_hermite`` (Golub-Welsch
-with a Newton step, an asymptotic expansion from order 150); the Weyl rule
-takes the logarithms of its weights from a recurrence instead, since its
-orders reach thousands, where the far weights underflow.
+Its weights and kernel factor over the 2n real coordinates, so its rule
+is an outer product of 1d vectors, summed against one row of monomials at
+a time: no table of nodes or of monomials is built.  Nodes and weights
+come from ``scipy.special.roots_hermite`` (Golub-Welsch with a Newton
+step, an asymptotic expansion from order 150); the Weyl rule takes the
+logarithms of its weights from a recurrence instead, since its orders
+reach thousands, where the far weights underflow.
 
 SciPy is imported inside the functions that call it, so importing the
 package (and running ``classify`` or ``scan``) does not load it.
@@ -96,9 +100,9 @@ def _require_small(problem: ToeplitzProblem) -> None:
 
 #: tensor rules with more points are chunked on their first dimension
 _MAX_TENSOR_POINTS = 500_000
-#: largest array a Galerkin section may allocate; its rule holds a few
-#: arrays of that size at once
-_GALERKIN_MAX_BYTES = 1 << 27
+#: largest array a Galerkin section may allocate, its one table of
+#: monomials at x and at conj(x); the rule holds little besides
+_GALERKIN_MAX_BYTES = 1 << 28
 #: largest order whose nodes and weights ``np.polynomial.laguerre.laggauss``
 #: computes without overflow (measured with NumPy 2.4; 187 overflows); the
 #: radial path's rule has order size + 10, so its sections stop at size 176
@@ -118,18 +122,13 @@ def _basis_degree(n: int, size: int) -> int:
 
 def _galerkin_bytes(problem: ToeplitzProblem, size: int, order: int) -> int:
     """Bytes of the largest array :func:`truncated_matrix` allocates for a
-    section of ``size`` with a rule of ``order``."""
-    if _is_radial(problem):
-        # the Gauss-Laguerre companion matrix (order, order) float, larger
-        # than the moment terms (size, order), and the diagonal section
-        order = max(order, size + 10)
-        return max(8 * order * order, 16 * size * size)
-    # per chunk of the tensor rule, monomial rows (size, points) and mapped
+    section of ``size`` on the tensor rule of ``order``."""
+    # per chunk of the tensor rule, monomial rows (size, 2 points) and mapped
     # points (points, 2n); the section (size, size); all complex
     points = order ** (2 * problem.n)
     if points > _MAX_TENSOR_POINTS:
         points //= order
-    return 16 * max(size * points, 2 * problem.n * points, size * size)
+    return 16 * max(2 * size * points, 2 * problem.n * points, size * size)
 
 
 def _require_oracle_weight(weight: Weight) -> np.ndarray:
@@ -161,30 +160,30 @@ def _log_monomial_norms_sq(hdiag, indices):
     """log ||x^alpha||^2 = sum_i log(pi alpha_i! / (2 h_i)^{alpha_i + 1})."""
     from scipy.special import gammaln
 
-    out = np.empty(len(indices))
-    for j, alpha in enumerate(indices):
-        out[j] = sum(
-            math.log(math.pi) + gammaln(a + 1.0) - (a + 1.0) * math.log(2.0 * h)
-            for a, h in zip(alpha, hdiag)
-        )
+    a = np.asarray(indices, dtype=float)
+    log_2h = np.array([math.log(2.0 * h) for h in hdiag])
+    return (math.log(math.pi) + gammaln(a + 1.0) - (a + 1.0) * log_2h).sum(axis=1)
+
+
+def _monomial_parents(indices):
+    """(p, l) for each multi-index after the first: alpha_p = alpha - e_l,
+    with l the last positive exponent, so x^alpha = x^alpha_p x_l."""
+    where = {alpha: j for j, alpha in enumerate(indices)}
+    out = []
+    for alpha in indices[1:]:
+        l = max(i for i, a in enumerate(alpha) if a)
+        out.append((where[alpha[:l] + (alpha[l] - 1,) + alpha[l + 1:]], l))
     return out
 
 
 def _monomials(points, indices, log_norms_sq):
-    """Rows of normalized monomials evaluated at complex points (pts, n).
-
-    Each variable's powers come from one multiply per degree; a row is the
-    product of its variables' powers."""
-    alphas = np.asarray(indices)
-    out = np.exp(-0.5 * np.asarray(log_norms_sq))[:, None]
-    for i, top in enumerate(alphas.max(axis=0)):
-        powers = np.empty((top + 1, points.shape[0]), dtype=complex)
-        powers[0] = 1.0
-        for d in range(1, top + 1):
-            np.multiply(powers[d - 1], points[:, i], out=powers[d])
-        picked = powers[alphas[:, i]]
-        picked *= out
-        out = picked
+    """Rows of normalized monomials evaluated at complex points (pts, n),
+    each row filled in place from its parent's by one multiply."""
+    out = np.empty((len(indices), points.shape[0]), dtype=complex)
+    out[0] = 1.0
+    for j, (p, l) in enumerate(_monomial_parents(indices), 1):
+        np.multiply(out[p], points[:, l], out=out[j])
+    out *= np.exp(-0.5 * np.asarray(log_norms_sq))[:, None]
     return out
 
 
@@ -291,32 +290,34 @@ def truncated_matrix(problem: ToeplitzProblem, size: int, order: int | None = No
     Rotation invariance makes the matrix exactly diagonal for radial q at
     n = 1, and those entries are computed by an exact 1d moment rule.
     The default ``order`` is the basis degree plus one, the least order at
-    which the Gauss rule is exact for every entry.  A section that would
-    allocate an array above ``_GALERKIN_MAX_BYTES``, or a radial one whose
-    rule's order exceeds ``_LAGUERRE_MAX_ORDER``, is refused first.
+    which the Gauss rule is exact for every entry.  A radial section whose
+    rule's order exceeds ``_LAGUERRE_MAX_ORDER``, or a tensor-rule one that
+    would allocate an array above ``_GALERKIN_MAX_BYTES``, is refused first;
+    a radial rule of admitted order allocates well below that budget.
     """
     problem.require_admissible()
     _require_small(problem)
     hdiag = _require_oracle_weight(problem.weight)
     if order is None:
         order = _basis_degree(problem.n, size) + 1
-    if _galerkin_bytes(problem, size, order) > _GALERKIN_MAX_BYTES:
+    radial = _is_radial(problem)
+    if radial:
+        order = max(order, size + 10)
+        if order > _LAGUERRE_MAX_ORDER:
+            raise OracleRefusal(
+                f"a radial Galerkin section of size {size} needs a Gauss-Laguerre rule of "
+                f"order {order}, above the largest finite one ({_LAGUERRE_MAX_ORDER})"
+            )
+    elif _galerkin_bytes(problem, size, order) > _GALERKIN_MAX_BYTES:
         raise OracleRefusal(
             f"a Galerkin section of size {size} needs an array above the oracle's "
             f"limit of {_GALERKIN_MAX_BYTES >> 20} MiB"
         )
     indices = monomial_indices(problem.n, size)
 
-    if _is_radial(problem):
-        order_radial = max(order, size + 10)
-        if order_radial > _LAGUERRE_MAX_ORDER:
-            raise OracleRefusal(
-                f"a radial Galerkin section of size {size} needs a Gauss-Laguerre rule of "
-                f"order {order_radial}, above the largest finite one ({_LAGUERRE_MAX_ORDER})"
-            )
-        t = np.diag(_radial_diagonal(problem, size, order_radial).astype(complex))
-        spec = QuadratureSpec("gauss-laguerre-rotated", order_radial)
-        return TruncatedOperator(size, t, spec, indices)
+    if radial:
+        t = np.diag(_radial_diagonal(problem, size, order).astype(complex))
+        return TruncatedOperator(size, t, QuadratureSpec("gauss-laguerre-rotated", order), indices)
 
     gmat = _gaussian_exponent_matrix(problem)
     minv, detm, s, w = _scaled_rule(gmat, order)
@@ -327,10 +328,12 @@ def truncated_matrix(problem: ToeplitzProblem, size: int, order: int | None = No
         tn = pts @ minv.T
         x = tn[:, :n] + 1j * tn[:, n:]
         xb = tn[:, :n] - 1j * tn[:, n:]  # analytic continuation of conj(x)
-        sw = np.sqrt(wts)
-        a = _monomials(x, indices, log_norms) * sw
-        b = _monomials(xb, indices, log_norms) * sw
-        t += a @ b.T
+        # one table for both: glibc's malloc returned two tables of equal
+        # size to the system after every section, and the next section
+        # faulted their pages in again (+0.6 ms at size 40)
+        rows = _monomials(np.concatenate((x, xb)), indices, log_norms)
+        rows *= np.tile(np.sqrt(wts), 2)
+        t += rows[:, :wts.size] @ rows[:, wts.size:].T
     t *= detm
     spec = QuadratureSpec("gauss-hermite-complex-scaled", order)
     return TruncatedOperator(size, t, spec, indices)
@@ -493,9 +496,25 @@ def numeric_weyl(problem: ToeplitzProblem, x, order: int | None = None) -> compl
 # ---------------------------------------------------------------------------
 # coherent-state norms
 
+def _outer(ufunc, vectors):
+    """``ufunc`` applied over the outer product of 1d arrays, one axis each."""
+    out = vectors[0]
+    for v in vectors[1:]:
+        out = ufunc.outer(out, v)
+    return out
+
+
 def _coherent_coefficients(problem: ToeplitzProblem, w, nbasis: int, order: int):
     """Basis coefficients <e^q k_w, e_j> for the normalized coherent state
-    k_w; their square sum is the squared norm of the operator image."""
+    k_w; their square sum is the squared norm of the operator image.
+
+    On the scaled contour t = M s, with X and Xb the rows of M giving x and
+    the continued conj(x), the kernel e^{2 Psi(x, conj w)} is e^{k.s} with
+    k = 2 (conj(w) H) X.  Weights and kernel together are then the outer
+    product of the 2n vectors w_i e^{k_m s_i}, and each conj(x)_l the outer
+    sum of the vectors Xb_lm s.  Each row of monomials is summed against
+    that grid as soon as the recurrence forms it, and kept only while it
+    is still a parent."""
     problem.require_admissible()
     _require_small(problem)
     hdiag = _require_oracle_weight(problem.weight)
@@ -503,18 +522,31 @@ def _coherent_coefficients(problem: ToeplitzProblem, w, nbasis: int, order: int)
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     indices = monomial_indices(n, nbasis)
     log_norms = _log_monomial_norms_sq(hdiag, indices)
+    # row j is row p times conj(x)_l times the ratio of their normalizations
+    steps = [(p, l, math.exp(-0.5 * (log_norms[j] - log_norms[p])))
+             for j, (p, l) in enumerate(_monomial_parents(indices), 1)]
+    last_child = {p: j for j, (p, _, _) in enumerate(steps, 1)}
     gmat = _gaussian_exponent_matrix(problem)
     minv, detm, s, wts1 = _scaled_rule(gmat, order)
-    h = problem.weight.h
-    wbar = np.conj(w)
+    xb = minv[:n] - 1j * minv[n:]
+    k = 2.0 * (np.conj(w) @ problem.weight.h) @ (minv[:n] + 1j * minv[n:])
+    factors = wts1 * np.exp(np.multiply.outer(k, s))
+    factors[0] *= math.exp(-0.5 * log_norms[0])  # row 0, the constant monomial
+    whole = order ** (2 * n) <= _MAX_TENSOR_POINTS
     coeffs = np.zeros(nbasis, dtype=complex)
-    for pts, wts in _tensor_chunks(s, wts1, 2 * n):
-        tn = pts @ minv.T
-        x = tn[:, :n] + 1j * tn[:, n:]
-        xb = tn[:, :n] - 1j * tn[:, n:]
-        kernel = np.exp(2.0 * (x @ h.T) @ wbar)  # e^{2 Psi(x, conj(w))}
-        b = _monomials(xb, indices, log_norms)
-        coeffs += b @ (wts * kernel)
+    for first in [slice(None)] if whole else [slice(i, i + 1) for i in range(order)]:
+        grid = _outer(np.multiply, [factors[0, first], *factors[1:]]).ravel()
+        xbar = [_outer(np.add, [xb[l, 0] * s[first], *(xb[l, 1:, None] * s)]).ravel()
+                for l in range(n)]
+        coeffs[0] += grid.sum()
+        rows = {0: grid}
+        for j, (p, l, f) in enumerate(steps, 1):
+            row = rows.pop(p) if last_child[p] == j else rows[p].copy()
+            row *= xbar[l]
+            row *= f
+            coeffs[j] += row.sum()
+            if j in last_child:
+                rows[j] = row
     # coherent-state normalization ||k_w|| = 1: prefactor prod sqrt(2 h_i / pi)
     log_c = 0.5 * float(np.sum(np.log(2.0 * hdiag / math.pi)))
     coeffs *= detm * math.exp(log_c - problem.weight.value(w))

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from bargtop.oracle import (
     _hermite_order,
     _log_monomial_norms_sq,
     _monomials,
+    _substitution,
     is_plateau,
     monomial_indices,
     norm_trend,
@@ -152,7 +155,7 @@ class TestGalerkinBudget:
     """A section whose largest array exceeds the oracle's byte budget is
     refused before its basis is listed."""
 
-    @pytest.mark.parametrize("case", ["radial", "general", "n2", "n2 chunked"])
+    @pytest.mark.parametrize("case", ["general", "n2", "n2 chunked"])
     def test_counted_bytes_are_the_largest_array(self, monkeypatch, case):
         seen = []
         monomials, chunks = oracle_module._monomials, oracle_module._tensor_chunks
@@ -171,25 +174,42 @@ class TestGalerkinBudget:
         monkeypatch.setattr(oracle_module, "_tensor_chunks", record_chunks)
         if case == "n2 chunked":
             monkeypatch.setattr(oracle_module, "_MAX_TENSOR_POINTS", 100)
-        problem = {
-            "radial": scalar_problem(-0.3 + 0.2j),
-            "general": scalar_problem(-0.3, 0.1),
-        }.get(case) or diagonal_levi_problem(np.random.default_rng(9), 2)
-        size = 40 if case == "radial" else 12
+        problem = (scalar_problem(-0.3, 0.1) if case == "general"
+                   else diagonal_levi_problem(np.random.default_rng(9), 2))
+        size = 12
         top = truncated_matrix(problem, size)
         seen.append(top.t.nbytes)
         order = max(sum(alpha) for alpha in top.indices) + 1
         assert oracle_module._basis_degree(problem.n, size) + 1 == order
         assert oracle_module._galerkin_bytes(problem, size, order) == max(seen)
 
+    def test_radial_section_stays_far_below_the_budget(self, monkeypatch):
+        # the Gauss-Laguerre order, not the byte budget, bounds a radial
+        # section: at the largest admitted size it allocates under 1 MiB
+        def never(*args):
+            raise AssertionError("byte budget consulted")
+
+        problem = scalar_problem(-0.3 + 0.2j)
+        size = oracle_module._LAGUERRE_MAX_ORDER - 10
+        truncated_matrix(problem, size)  # SciPy and NumPy's lazy imports
+        monkeypatch.setattr(oracle_module, "_galerkin_bytes", never)
+        tracemalloc.start()
+        try:
+            truncated_matrix(problem, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_refused_before_the_basis_is_listed(self, monkeypatch):
         def never(*args):
             raise AssertionError("basis listed")
 
         monkeypatch.setattr(oracle_module, "monomial_indices", never)
-        for problem in (scalar_problem(-0.3 + 0.2j), scalar_problem(-0.3, 0.1),
-                        trivial_problem(2)):
-            with pytest.raises(OracleRefusal, match="MiB"):
+        for problem, message in ((scalar_problem(-0.3 + 0.2j), "Gauss-Laguerre"),
+                                 (scalar_problem(-0.3, 0.1), "MiB"),
+                                 (trivial_problem(2), "MiB")):
+            with pytest.raises(OracleRefusal, match=message):
                 truncated_matrix(problem, 10 ** 20)
 
     def test_sizes_in_use_are_accepted(self):
@@ -260,6 +280,29 @@ class TestExactOrder:
             ref[j] = vals * math.exp(-0.5 * log_norms[j])
         got = _monomials(points, indices, log_norms)
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+    @pytest.mark.parametrize("n,size", [(1, 64), (2, 45)])
+    def test_log_norms_are_the_scalar_formula(self, n, size):
+        hdiag = np.random.default_rng(n).uniform(0.1, 0.5, n)
+        indices = monomial_indices(n, size)
+        ref = np.array([
+            sum(math.log(math.pi) + scipy.special.gammaln(a + 1.0) - (a + 1.0) * math.log(2.0 * h)
+                for a, h in zip(alpha, hdiag))
+            for alpha in indices
+        ])
+        assert np.array_equal(_log_monomial_norms_sq(hdiag, indices), ref)
+
+    def test_section_peak_memory(self):
+        problem = scalar_problem(-0.3, 0.1)
+        truncated_matrix(problem, 40)  # SciPy and NumPy's lazy imports
+        tracemalloc.start()
+        try:
+            truncated_matrix(problem, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the sqrt(w)-scaled monomial table at x and conj(x), (40, 2 * 41^2) complex
+        assert peak < 2.5 * (1 << 20)
 
 
 class TestClosedFormExponents:
@@ -434,6 +477,59 @@ class TestCoherentNorms:
         logs = [np.log(numeric_coherent_norm(problem, [r])) for r in radii]
         slope = np.polyfit(radii ** 2, logs, 1)[0]
         assert abs(slope - expect) <= 0.01 * abs(expect)
+
+    @staticmethod
+    def explicit_coefficients(problem, w, nbasis, order):
+        """The tensor grid and the monomial matrix built out in full."""
+        n, h = problem.n, problem.weight.h
+        hdiag = np.real(np.diag(h))
+        minv, detm = _substitution(_gaussian_exponent_matrix(problem))
+        s, wts = scipy.special.roots_hermite(order)
+        pts = np.array(list(itertools.product(s, repeat=2 * n)))
+        weights = np.prod(list(itertools.product(wts, repeat=2 * n)), axis=1)
+        t = pts @ minv.T
+        x, xb = t[:, :n] + 1j * t[:, n:], t[:, :n] - 1j * t[:, n:]
+        kernel = np.exp(2.0 * (x @ h.T) @ np.conj(w))
+        indices = monomial_indices(n, nbasis)
+        log_norms = _log_monomial_norms_sq(hdiag, indices)
+        mono = np.array([np.prod(xb ** np.array(alpha), axis=1) * math.exp(-0.5 * ln)
+                         for alpha, ln in zip(indices, log_norms)])
+        scale = math.exp(0.5 * np.sum(np.log(2.0 * hdiag / math.pi)) - problem.weight.value(w))
+        return mono @ (weights * kernel) * detm * scale
+
+    @pytest.mark.parametrize("case", ["n1", "n2", "n2 chunked"])
+    def test_coefficients_match_the_explicit_grid(self, monkeypatch, case):
+        if case == "n1":
+            problem, w, nbasis, order = scalar_problem(-0.3 + 0.1j, 0.08), np.array([1.5 - 0.5j]), 12, 30
+        else:
+            problem = diagonal_levi_problem(np.random.default_rng(3), 2)
+            w, nbasis, order = np.array([0.8, 0.3j]), 10, 8
+        if case == "n2 chunked":
+            monkeypatch.setattr(oracle_module, "_MAX_TENSOR_POINTS", 1000)  # 8 chunks
+        ref = self.explicit_coefficients(problem, w, nbasis, order)
+        got = _coherent_coefficients(problem, w, nbasis, order)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_norm_builds_no_monomial_table(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("monomial table built")
+
+        problem = scalar_problem(-0.4 + 0.1j)
+        expect = numeric_coherent_norm(problem, [2.0])
+        monkeypatch.setattr(oracle_module, "_monomials", never)
+        assert numeric_coherent_norm(problem, [2.0]) == expect
+
+    def test_norm_peak_memory(self):
+        problem = scalar_problem(-0.4 + 0.1j)
+        numeric_coherent_norm(problem, [4.0])  # SciPy's lazy imports
+        tracemalloc.start()
+        try:
+            numeric_coherent_norm(problem, [4.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # basis 64 on the 148^2-node rule: one grid and one row, not a table
+        assert peak < 4 * (1 << 20)
 
     def test_weak_convergence_of_coherent_states(self):
         # fixed basis element against k_w along a ray: coefficients vanish
