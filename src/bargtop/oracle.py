@@ -15,21 +15,29 @@ relative accuracy of the small matrix entries; the scaled rule does not.
 
 A Galerkin entry integrates a product of two basis monomials, a polynomial
 of total degree at most 2 d for basis degree d, so order d + 1 is already
-exact and is the default; each row of monomials at the nodes is filled in
-place from its parent's by one multiply.  The Weyl convolution keeps its
-whole exponent, quadratic and linear, in the Gaussian: after the scaling
-and a shift of the contour by the imaginary part of the linear term, each
-of its 2n factors is the integral of e^{-s^2 + alpha s} with real alpha,
-and its order is derived from the Gauss-Hermite remainder for e^{alpha s}.
-The tensor rule for that product is the product of the 1d sums.  The
-coherent-state kernel is not polynomial; its order is fixed empirically.
-Its weights and kernel factor over the 2n real coordinates, so its rule
-is an outer product of 1d vectors, summed against one row of monomials at
-a time: no table of nodes or of monomials is built.  Nodes and weights
-come from ``scipy.special.roots_hermite`` (Golub-Welsch with a Newton
-step, an asymptotic expansion from order 150); the Weyl rule takes the
-logarithms of its weights from a recurrence instead, since its orders
-reach thousands, where the far weights underflow.
+exact and is the default.  A coherent-state coefficient is exact by a
+contour shift: on the scaled contour the kernel is e^{k.s}, and s = u + k/2
+turns e^{-s.s + k.s} into e^{k.k/4} e^{-u.u}, which leaves a polynomial of
+degree d against the Gaussian, so order d // 2 + 1 is exact.
+
+Both sum one table of monomial rows at the nodes.  Row 0 is the rule's
+weights, and each row is filled in place from its parent's and normalized
+at each step, so entries stay near the size of the integrand, not |x|^d.
+One byte budget, ``_TABLE_MAX_BYTES``, bounds that table: a rule whose
+whole table exceeds it is summed in slices of its first dimension, and a
+basis whose slice still exceeds it is refused before anything is
+allocated.
+
+The Weyl convolution keeps its whole exponent, quadratic and linear, in
+the Gaussian: after the scaling and a shift of the contour by the
+imaginary part of the linear term, each of its 2n factors is the integral
+of e^{-s^2 + alpha s} with real alpha, and its order is derived from the
+Gauss-Hermite remainder for e^{alpha s}.  The tensor rule for that product
+is the product of the 1d sums.  Nodes and weights come from
+``scipy.special.roots_hermite`` (Golub-Welsch with a Newton step, an
+asymptotic expansion from order 150); the Weyl rule takes the logarithms
+of its weights from a recurrence instead, since its orders reach
+thousands, where the far weights underflow.
 
 SciPy is imported inside the functions that call it, so importing the
 package (and running ``classify`` or ``scan``) does not load it.
@@ -98,11 +106,9 @@ def _require_small(problem: ToeplitzProblem) -> None:
         raise OracleRefusal("oracle supports n <= 2")
 
 
-#: tensor rules with more points are chunked on their first dimension
-_MAX_TENSOR_POINTS = 500_000
-#: largest array a Galerkin section may allocate, its one table of
-#: monomials at x and at conj(x); the rule holds little besides
-_GALERKIN_MAX_BYTES = 1 << 28
+#: largest table of monomial rows at the nodes a quadrature may allocate;
+#: the rule holds little besides
+_TABLE_MAX_BYTES = 1 << 28
 #: largest order whose nodes and weights ``np.polynomial.laguerre.laggauss``
 #: computes without overflow (measured with NumPy 2.4; 187 overflows); the
 #: radial path's rule has order size + 10, so its sections stop at size 176
@@ -120,15 +126,22 @@ def _basis_degree(n: int, size: int) -> int:
     return d
 
 
-def _galerkin_bytes(problem: ToeplitzProblem, size: int, order: int) -> int:
-    """Bytes of the largest array :func:`truncated_matrix` allocates for a
-    section of ``size`` on the tensor rule of ``order``."""
-    # per chunk of the tensor rule, monomial rows (size, 2 points) and mapped
-    # points (points, 2n); the section (size, size); all complex
-    points = order ** (2 * problem.n)
-    if points > _MAX_TENSOR_POINTS:
-        points //= order
-    return 16 * max(2 * size * points, 2 * problem.n * points, size * size)
+def _table_bytes(n: int, rows: int, order: int) -> int:
+    """Bytes of the complex table of ``rows`` monomial rows at the points
+    of one piece of :func:`_tensor_chunks`, for the rule of ``order`` in 2n
+    variables: the whole rule, or a slice of its first dimension when the
+    whole table exceeds ``_TABLE_MAX_BYTES``.  A Galerkin section of
+    ``size`` has 2 size rows (at x and at conj(x)), a coherent basis one
+    row per monomial; the table is the largest array either allocates."""
+    whole = 16 * rows * order ** (2 * n)
+    return whole if whole <= _TABLE_MAX_BYTES else whole // order
+
+
+def _require_table(n: int, rows: int, order: int, what: str) -> None:
+    if _table_bytes(n, rows, order) > _TABLE_MAX_BYTES:
+        raise OracleRefusal(
+            f"{what} needs an array above the oracle's limit of {_TABLE_MAX_BYTES >> 20} MiB"
+        )
 
 
 def _require_oracle_weight(weight: Weight) -> np.ndarray:
@@ -176,14 +189,16 @@ def _monomial_parents(indices):
     return out
 
 
-def _monomials(points, indices, log_norms_sq):
-    """Rows of normalized monomials evaluated at complex points (pts, n),
-    each row filled in place from its parent's by one multiply."""
+def _monomials(points, indices, log_norms_sq, weights):
+    """Rows of normalized monomials at complex points (pts, n), times the
+    rule's ``weights``: row 0 is the weights over the constant's norm, and
+    each row is its parent's times x_l times the ratio of their norms, so
+    no entry grows like |x|^d before it is normalized."""
     out = np.empty((len(indices), points.shape[0]), dtype=complex)
-    out[0] = 1.0
+    out[0] = weights * math.exp(-0.5 * log_norms_sq[0])
     for j, (p, l) in enumerate(_monomial_parents(indices), 1):
         np.multiply(out[p], points[:, l], out=out[j])
-    out *= np.exp(-0.5 * np.asarray(log_norms_sq))[:, None]
+        out[j] *= math.exp(-0.5 * (log_norms_sq[j] - log_norms_sq[p]))
     return out
 
 
@@ -237,10 +252,11 @@ def _tensor_product(s, w, dims):
     return pts, wts
 
 
-def _tensor_chunks(s, w, dims):
-    """Yield (points, weights) pieces of the tensor rule; rules above
-    ``_MAX_TENSOR_POINTS`` are chunked to bound memory."""
-    if s.size ** dims <= _MAX_TENSOR_POINTS:
+def _tensor_chunks(s, w, dims, rows):
+    """Yield (points, weights) pieces of the tensor rule: the whole rule, or
+    slices of its first dimension when a complex table of ``rows`` rows at
+    all its points would exceed ``_TABLE_MAX_BYTES``."""
+    if 16 * rows * s.size ** dims <= _TABLE_MAX_BYTES:
         yield _tensor_product(s, w, dims)
         return
     rest_pts, rest_w = _tensor_product(s, w, dims - 1)
@@ -291,9 +307,9 @@ def truncated_matrix(problem: ToeplitzProblem, size: int, order: int | None = No
     n = 1, and those entries are computed by an exact 1d moment rule.
     The default ``order`` is the basis degree plus one, the least order at
     which the Gauss rule is exact for every entry.  A radial section whose
-    rule's order exceeds ``_LAGUERRE_MAX_ORDER``, or a tensor-rule one that
-    would allocate an array above ``_GALERKIN_MAX_BYTES``, is refused first;
-    a radial rule of admitted order allocates well below that budget.
+    rule's order exceeds ``_LAGUERRE_MAX_ORDER``, or a tensor-rule one whose
+    table slice exceeds ``_TABLE_MAX_BYTES``, is refused first; a radial
+    rule of admitted order allocates well below that budget.
     """
     problem.require_admissible()
     _require_small(problem)
@@ -308,11 +324,8 @@ def truncated_matrix(problem: ToeplitzProblem, size: int, order: int | None = No
                 f"a radial Galerkin section of size {size} needs a Gauss-Laguerre rule of "
                 f"order {order}, above the largest finite one ({_LAGUERRE_MAX_ORDER})"
             )
-    elif _galerkin_bytes(problem, size, order) > _GALERKIN_MAX_BYTES:
-        raise OracleRefusal(
-            f"a Galerkin section of size {size} needs an array above the oracle's "
-            f"limit of {_GALERKIN_MAX_BYTES >> 20} MiB"
-        )
+    else:
+        _require_table(problem.n, 2 * size, order, f"a Galerkin section of size {size}")
     indices = monomial_indices(problem.n, size)
 
     if radial:
@@ -324,15 +337,14 @@ def truncated_matrix(problem: ToeplitzProblem, size: int, order: int | None = No
     log_norms = _log_monomial_norms_sq(hdiag, indices)
     n = problem.n
     t = np.zeros((size, size), dtype=complex)
-    for pts, wts in _tensor_chunks(s, w, 2 * n):
+    for pts, wts in _tensor_chunks(s, w, 2 * n, 2 * size):
         tn = pts @ minv.T
         x = tn[:, :n] + 1j * tn[:, n:]
         xb = tn[:, :n] - 1j * tn[:, n:]  # analytic continuation of conj(x)
         # one table for both: glibc's malloc returned two tables of equal
         # size to the system after every section, and the next section
         # faulted their pages in again (+0.6 ms at size 40)
-        rows = _monomials(np.concatenate((x, xb)), indices, log_norms)
-        rows *= np.tile(np.sqrt(wts), 2)
+        rows = _monomials(np.concatenate((x, xb)), indices, log_norms, np.tile(np.sqrt(wts), 2))
         t += rows[:, :wts.size] @ rows[:, wts.size:].T
     t *= detm
     spec = QuadratureSpec("gauss-hermite-complex-scaled", order)
@@ -496,73 +508,42 @@ def numeric_weyl(problem: ToeplitzProblem, x, order: int | None = None) -> compl
 # ---------------------------------------------------------------------------
 # coherent-state norms
 
-def _outer(ufunc, vectors):
-    """``ufunc`` applied over the outer product of 1d arrays, one axis each."""
-    out = vectors[0]
-    for v in vectors[1:]:
-        out = ufunc.outer(out, v)
-    return out
-
-
-def _coherent_coefficients(problem: ToeplitzProblem, w, nbasis: int, order: int):
+def _coherent_coefficients(problem: ToeplitzProblem, w, nbasis: int):
     """Basis coefficients <e^q k_w, e_j> for the normalized coherent state
     k_w; their square sum is the squared norm of the operator image.
 
     On the scaled contour t = M s, with X and Xb the rows of M giving x and
     the continued conj(x), the kernel e^{2 Psi(x, conj w)} is e^{k.s} with
-    k = 2 (conj(w) H) X.  Weights and kernel together are then the outer
-    product of the 2n vectors w_i e^{k_m s_i}, and each conj(x)_l the outer
-    sum of the vectors Xb_lm s.  Each row of monomials is summed against
-    that grid as soon as the recurrence forms it, and kept only while it
-    is still a parent."""
+    k = 2 (conj(w) H) X.  The shift s = u + k/2 turns e^{-s.s + k.s} into
+    e^{k.k/4} e^{-u.u}, and the monomials in conj(x) = Xb (u + k/2) have
+    degree at most the basis degree d, so Gauss-Hermite order d // 2 + 1
+    is exact."""
     problem.require_admissible()
     _require_small(problem)
     hdiag = _require_oracle_weight(problem.weight)
     n = problem.n
+    order = _basis_degree(n, nbasis) // 2 + 1
+    _require_table(n, nbasis, order, f"a coherent-state basis of {nbasis} monomials")
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     indices = monomial_indices(n, nbasis)
     log_norms = _log_monomial_norms_sq(hdiag, indices)
-    # row j is row p times conj(x)_l times the ratio of their normalizations
-    steps = [(p, l, math.exp(-0.5 * (log_norms[j] - log_norms[p])))
-             for j, (p, l) in enumerate(_monomial_parents(indices), 1)]
-    last_child = {p: j for j, (p, _, _) in enumerate(steps, 1)}
-    gmat = _gaussian_exponent_matrix(problem)
-    minv, detm, s, wts1 = _scaled_rule(gmat, order)
+    minv, detm, s, wts = _scaled_rule(_gaussian_exponent_matrix(problem), order)
     xb = minv[:n] - 1j * minv[n:]
     k = 2.0 * (np.conj(w) @ problem.weight.h) @ (minv[:n] + 1j * minv[n:])
-    factors = wts1 * np.exp(np.multiply.outer(k, s))
-    factors[0] *= math.exp(-0.5 * log_norms[0])  # row 0, the constant monomial
-    whole = order ** (2 * n) <= _MAX_TENSOR_POINTS
     coeffs = np.zeros(nbasis, dtype=complex)
-    for first in [slice(None)] if whole else [slice(i, i + 1) for i in range(order)]:
-        grid = _outer(np.multiply, [factors[0, first], *factors[1:]]).ravel()
-        xbar = [_outer(np.add, [xb[l, 0] * s[first], *(xb[l, 1:, None] * s)]).ravel()
-                for l in range(n)]
-        coeffs[0] += grid.sum()
-        rows = {0: grid}
-        for j, (p, l, f) in enumerate(steps, 1):
-            row = rows.pop(p) if last_child[p] == j else rows[p].copy()
-            row *= xbar[l]
-            row *= f
-            coeffs[j] += row.sum()
-            if j in last_child:
-                rows[j] = row
+    for pts, pw in _tensor_chunks(s, wts, 2 * n, nbasis):
+        coeffs += _monomials((pts + k / 2.0) @ xb.T, indices, log_norms, pw).sum(axis=1)
     # coherent-state normalization ||k_w|| = 1: prefactor prod sqrt(2 h_i / pi)
     log_c = 0.5 * float(np.sum(np.log(2.0 * hdiag / math.pi)))
-    coeffs *= detm * math.exp(log_c - problem.weight.value(w))
-    return coeffs
+    return coeffs * (detm * np.exp(k @ k / 4.0 + log_c - problem.weight.value(w)))
 
 
-def numeric_coherent_norm(
-    problem: ToeplitzProblem, w, nbasis: int | None = None, order: int | None = None
-) -> float:
+def numeric_coherent_norm(problem: ToeplitzProblem, w, nbasis: int | None = None) -> float:
     """Norm of the operator applied to the normalized coherent state at w,
     via basis expansion of the projected image (no stationary-phase
     constants involved)."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     if nbasis is None:
         nbasis = 40 + int(6.0 * problem.weight.value(w))
-    if order is None:
-        order = max(120, 2 * nbasis + 20) if problem.n == 1 else 48
-    coeffs = _coherent_coefficients(problem, w, nbasis, order)
+    coeffs = _coherent_coefficients(problem, w, nbasis)
     return float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))

@@ -698,6 +698,33 @@ class TestOracleCommand:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
+    DIAGONAL_LEVI_N1 = (
+        "n: 1\nphi0:\n  hermitian: [[[0.30472865, 0.0]]]\n"
+        "q:\n  xx: [[[0.20360868, 0.08188701]]]\n  xbarx: [[[0.05530899, -0.06653233]]]\n"
+        "  xbarxbar: [[[-0.32294092, 0.22436008]]]\n"
+    )
+
+    def test_top_degree_section_is_finite(self, tmp_path):
+        # |x|^199 at the far nodes overflowed before the rows were
+        # normalized, and the SVD of the section did not converge
+        path = tmp_path / "p.yaml"
+        path.write_text(self.DIAGONAL_LEVI_N1)
+        proc = run_capped("oracle", str(path), "--experiment", "trend", "-N", "200")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        norms = json.loads(proc.stdout)["norms"]
+        assert len(norms) == 1 and np.isfinite(norms[0])
+
+    def test_coherent_basis_above_the_budget_exits_two(self, tmp_path):
+        # Phi(e_1) = 200 asks for a basis of 1240 monomials at the first radius
+        path = tmp_path / "p.yaml"
+        path.write_text("n: 2\nphi0:\n  hermitian: [[[200.0, 0], [0, 0]], [[0, 0], [200.0, 0]]]\n")
+        proc = run_capped("oracle", str(path), "--experiment", "coherent")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "1240 monomials" in proc.stderr
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sizes", ["180", "1000000"])
     def test_radial_rule_beyond_its_finite_order_refused(self, tmp_path, capsys, sizes):

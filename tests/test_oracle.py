@@ -74,6 +74,19 @@ def diagonal_levi_problem(rng, n):
             return problem
 
 
+def record_pieces(monkeypatch):
+    """The sizes of the pieces that ``_tensor_chunks`` yields from now on."""
+    pieces, chunks = [], oracle_module._tensor_chunks
+
+    def record(*args):
+        for pts, wts in chunks(*args):
+            pieces.append(wts.size)
+            yield pts, wts
+
+    monkeypatch.setattr(oracle_module, "_tensor_chunks", record)
+    return pieces
+
+
 class TestTruncatedMatrix:
     def test_trivial_symbol_is_identity(self):
         top = truncated_matrix(trivial_problem(), 12)
@@ -152,12 +165,13 @@ class TestTruncatedMatrix:
 
 
 class TestGalerkinBudget:
-    """A section whose largest array exceeds the oracle's byte budget is
-    refused before its basis is listed."""
+    """A section whose table of monomials exceeds the oracle's byte budget
+    is computed in slices of the rule, and refused before its basis is
+    listed when a slice still exceeds it."""
 
     @pytest.mark.parametrize("case", ["general", "n2", "n2 chunked"])
     def test_counted_bytes_are_the_largest_array(self, monkeypatch, case):
-        seen = []
+        seen, pieces = [], []
         monomials, chunks = oracle_module._monomials, oracle_module._tensor_chunks
 
         def record_monomials(*args):
@@ -168,12 +182,14 @@ class TestGalerkinBudget:
         def record_chunks(*args):
             for pts, wts in chunks(*args):
                 seen.append(16 * pts.size)  # the points mapped by G^{-1/2} are complex
+                pieces.append(wts.size)
                 yield pts, wts
 
         monkeypatch.setattr(oracle_module, "_monomials", record_monomials)
         monkeypatch.setattr(oracle_module, "_tensor_chunks", record_chunks)
         if case == "n2 chunked":
-            monkeypatch.setattr(oracle_module, "_MAX_TENSOR_POINTS", 100)
+            # the whole table (24 rows at 5^4 points) is 240000 bytes
+            monkeypatch.setattr(oracle_module, "_TABLE_MAX_BYTES", 100_000)
         problem = (scalar_problem(-0.3, 0.1) if case == "general"
                    else diagonal_levi_problem(np.random.default_rng(9), 2))
         size = 12
@@ -181,7 +197,20 @@ class TestGalerkinBudget:
         seen.append(top.t.nbytes)
         order = max(sum(alpha) for alpha in top.indices) + 1
         assert oracle_module._basis_degree(problem.n, size) + 1 == order
-        assert oracle_module._galerkin_bytes(problem, size, order) == max(seen)
+        assert len(pieces) == (order if case == "n2 chunked" else 1)
+        assert oracle_module._table_bytes(problem.n, 2 * size, order) == max(seen)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sliced_section_extends_the_whole_one(self, monkeypatch):
+        # size 260 at n = 1: the whole table, 520 rows at 260^2 points, is
+        # above the budget, so the rule is summed in 260 slices
+        problem = diagonal_levi_problem(np.random.default_rng(1), 1)
+        whole = truncated_matrix(problem, 200).t
+        pieces = record_pieces(monkeypatch)
+        sliced = truncated_matrix(problem, 260).t
+        assert pieces == [260] * 260
+        assert np.all(np.isfinite(sliced))
+        assert np.max(np.abs(sliced[:200, :200] - whole)) <= 1e-12 * np.max(np.abs(whole))
 
     def test_radial_section_stays_far_below_the_budget(self, monkeypatch):
         # the Gauss-Laguerre order, not the byte budget, bounds a radial
@@ -192,7 +221,7 @@ class TestGalerkinBudget:
         problem = scalar_problem(-0.3 + 0.2j)
         size = oracle_module._LAGUERRE_MAX_ORDER - 10
         truncated_matrix(problem, size)  # SciPy and NumPy's lazy imports
-        monkeypatch.setattr(oracle_module, "_galerkin_bytes", never)
+        monkeypatch.setattr(oracle_module, "_table_bytes", never)
         tracemalloc.start()
         try:
             truncated_matrix(problem, size)
@@ -219,8 +248,8 @@ class TestGalerkinBudget:
                         trivial_problem(2)):
             order = oracle_module._basis_degree(problem.n, 40) + 1
             for rule in (order, 2 * order):
-                assert oracle_module._galerkin_bytes(problem, 40, rule) <= (
-                    oracle_module._GALERKIN_MAX_BYTES)
+                assert oracle_module._table_bytes(problem.n, 2 * 40, rule) <= (
+                    oracle_module._TABLE_MAX_BYTES)
 
 
 class TestLaguerreLimit:
@@ -278,8 +307,20 @@ class TestExactOrder:
             for i, a in enumerate(alpha):
                 vals = vals * points[:, i] ** a
             ref[j] = vals * math.exp(-0.5 * log_norms[j])
-        got = _monomials(points, indices, log_norms)
+        got = _monomials(points, indices, log_norms, np.ones(points.shape[0]))
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_top_degree_rows_stay_finite(self):
+        # size 200 at n = 1: |x|^199 at the far nodes overflowed before the
+        # rows were normalized, and the SVD of the section did not converge
+        problem = diagonal_levi_problem(np.random.default_rng(1), 1)
+        top = truncated_matrix(problem, 200).t
+        assert np.all(np.isfinite(top))
+        lead = truncated_matrix(problem, 100).t
+        assert np.max(np.abs(top[:100, :100] - lead)) <= 1e-12 * np.max(np.abs(lead))
+        norms = norm_trend(problem, (100, 200))
+        assert np.all(np.isfinite(norms)) and norms[1] >= norms[0]
 
     @pytest.mark.parametrize("n,size", [(1, 64), (2, 45)])
     def test_log_norms_are_the_scalar_formula(self, n, size):
@@ -467,7 +508,7 @@ class TestCoherentNorms:
             assert got == pytest.approx(1.0, abs=1e-10)
 
     def test_trivial_symbol_n2(self):
-        got = numeric_coherent_norm(trivial_problem(2), [1.0, 0.5j], nbasis=45, order=36)
+        got = numeric_coherent_norm(trivial_problem(2), [1.0, 0.5j], nbasis=45)
         assert got == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("lam,expect", [(-0.5, -0.1875), (0.2, (1 / 0.36 - 1) / 4)])
@@ -499,25 +540,38 @@ class TestCoherentNorms:
 
     @pytest.mark.parametrize("case", ["n1", "n2", "n2 chunked"])
     def test_coefficients_match_the_explicit_grid(self, monkeypatch, case):
+        # the derived order on the shifted contour against a high order on
+        # the unshifted one
         if case == "n1":
             problem, w, nbasis, order = scalar_problem(-0.3 + 0.1j, 0.08), np.array([1.5 - 0.5j]), 12, 30
         else:
             problem = diagonal_levi_problem(np.random.default_rng(3), 2)
-            w, nbasis, order = np.array([0.8, 0.3j]), 10, 8
+            w, nbasis, order = np.array([0.8, 0.3j]), 10, 16
+        pieces = record_pieces(monkeypatch)
         if case == "n2 chunked":
-            monkeypatch.setattr(oracle_module, "_MAX_TENSOR_POINTS", 1000)  # 8 chunks
+            # degree 3, order 2: the whole table, 10 rows at 2^4 points, is 2560 bytes
+            monkeypatch.setattr(oracle_module, "_TABLE_MAX_BYTES", 2000)
         ref = self.explicit_coefficients(problem, w, nbasis, order)
-        got = _coherent_coefficients(problem, w, nbasis, order)
+        got = _coherent_coefficients(problem, w, nbasis)
+        assert len(pieces) == (2 if case == "n2 chunked" else 1)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_norm_builds_no_monomial_table(self, monkeypatch):
-        def never(*args):
-            raise AssertionError("monomial table built")
+    def test_basis_above_the_budget_is_refused_before_allocating(self, monkeypatch):
+        # at n = 2 a table slice has nbasis rows at order^3 points, with
+        # order = degree // 2 + 1: the first refused basis is near 1200
+        def refused(nbasis):
+            order = oracle_module._basis_degree(2, nbasis) // 2 + 1
+            return oracle_module._table_bytes(2, nbasis, order) > oracle_module._TABLE_MAX_BYTES
 
-        problem = scalar_problem(-0.4 + 0.1j)
-        expect = numeric_coherent_norm(problem, [2.0])
-        monkeypatch.setattr(oracle_module, "_monomials", never)
-        assert numeric_coherent_norm(problem, [2.0]) == expect
+        first = next(m for m in itertools.count(1000) if refused(m))
+        assert 1100 < first < 1300 and all(refused(m) for m in range(first, first + 200))
+
+        def never(*args):
+            raise AssertionError("basis listed")
+
+        monkeypatch.setattr(oracle_module, "monomial_indices", never)
+        with pytest.raises(OracleRefusal, match="256 MiB"):
+            numeric_coherent_norm(trivial_problem(2), [1.0, 0.0], nbasis=first)
 
     def test_norm_peak_memory(self):
         problem = scalar_problem(-0.4 + 0.1j)
@@ -528,7 +582,7 @@ class TestCoherentNorms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # basis 64 on the 148^2-node rule: one grid and one row, not a table
+        # basis 64 on the shifted rule of order 32: one 64 x 32^2 complex table
         assert peak < 4 * (1 << 20)
 
     def test_weak_convergence_of_coherent_states(self):
@@ -536,7 +590,7 @@ class TestCoherentNorms:
         problem = trivial_problem()
         mags = []
         for r in (2.0, 5.0, 8.0):
-            coeffs = _coherent_coefficients(problem, [r], nbasis=4, order=80)
+            coeffs = _coherent_coefficients(problem, [r], nbasis=4)
             mags.append(np.abs(coeffs))
         for k in range(4):
             seq = [m[k] for m in mags]
