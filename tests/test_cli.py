@@ -715,15 +715,28 @@ class TestOracleCommand:
         norms = json.loads(proc.stdout)["norms"]
         assert len(norms) == 1 and np.isfinite(norms[0])
 
-    def test_coherent_basis_above_the_budget_exits_two(self, tmp_path):
-        # Phi(e_1) = 200 asks for a basis of 1240 monomials at the first radius
+    def test_coherent_norm_out_of_range_exits_three(self, tmp_path):
+        # Phi(e_1) = 200: the default basis, 1240 monomials at the first
+        # radius and 4840 at the second, is far too small for the state's mass
+        # near degree 2 Phi, and the second norm underflows to 0
         path = tmp_path / "p.yaml"
         path.write_text("n: 2\nphi0:\n  hermitian: [[[200.0, 0], [0, 0]], [[0, 0], [200.0, 0]]]\n")
+        proc = run_capped("oracle", str(path), "--experiment", "coherent")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("numerical failure:") and proc.stderr.count("\n") == 1
+        assert "4840 monomials" in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+    def test_coherent_basis_above_the_budget_exits_two(self, tmp_path):
+        # Phi(e_1) = 1e7 asks for a basis of 60000040 monomials at the first
+        # radius, refused before it is listed
+        path = tmp_path / "p.yaml"
+        path.write_text("n: 1\nphi0:\n  hermitian: [[[1.0e+7, 0.0]]]\n")
         proc = run_capped("oracle", str(path), "--experiment", "coherent")
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
-        assert "1240 monomials" in proc.stderr
+        assert "60000040 monomials" in proc.stderr
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sizes", ["180", "1000000"])

@@ -2,8 +2,8 @@
 
 SciPy serves only the quadrature oracle and one verify suite, the process
 pool only ``scan --workers N`` with N > 1, and PyYAML only problem files
-that are not in canonical form; ``classify`` of a canonical file and a
-serial ``scan`` load none of them. Each test starts its own interpreter,
+that are not in canonical form; ``classify`` of a canonical file, a
+serial ``scan`` and the coherent oracle experiment load none of them. Each test starts its own interpreter,
 since the test process itself has long since imported all three.
 """
 
@@ -57,6 +57,15 @@ def test_oracle_loads_scipy_where_it_is_called(tmp_path):
     path.write_text("n: 1\nphi0:\n  hermitian: [[[0.25, 0.0]]]\nq:\n  xbarx: [[[-0.5, 0.0]]]\n")
     result = run_main(["oracle", str(path), "--experiment", "trend", "-N", "5,10"])
     assert result["rc"] == 0 and result["loaded"] == ["scipy"]
+
+
+def test_coherent_oracle_leaves_scipy_unloaded(tmp_path):
+    # coherent norms are a moment recurrence on NumPy's inverse and
+    # eigenvalues: no Gauss-Hermite nodes, no sqrtm, no gammaln
+    path = tmp_path / "p.yaml"
+    path.write_text("n: 1\nphi0:\n  hermitian: [[[0.25, 0.0]]]\nq:\n  xbarx: [[[-0.5, 0.1]]]\n")
+    result = run_main(["oracle", str(path), "--experiment", "coherent"])
+    assert result == {"rc": 0, "loaded": []}
 
 
 def test_block_style_file_loads_yaml(tmp_path):

@@ -74,6 +74,15 @@ def diagonal_levi_problem(rng, n):
             return problem
 
 
+def separable_problem(rng, n):
+    """Diagonal Levi form near 1/4 and q = xbar.diag(lam) x, the family the
+    benchmark's coherent calls draw from."""
+    z = np.zeros((n, n))
+    lam = rng.uniform(-1.0, 0.15, n) + 1j * rng.uniform(-0.5, 0.5, n)
+    return ToeplitzProblem(Weight(np.diag(rng.uniform(0.22, 0.28, n)), z),
+                           ComplexQuadraticForm(z, np.diag(lam), z))
+
+
 def record_pieces(monkeypatch):
     """The sizes of the pieces that ``_tensor_chunks`` yields from now on."""
     pieces, chunks = [], oracle_module._tensor_chunks
@@ -538,40 +547,101 @@ class TestCoherentNorms:
         scale = math.exp(0.5 * np.sum(np.log(2.0 * hdiag / math.pi)) - problem.weight.value(w))
         return mono @ (weights * kernel) * detm * scale
 
-    @pytest.mark.parametrize("case", ["n1", "n2", "n2 chunked"])
-    def test_coefficients_match_the_explicit_grid(self, monkeypatch, case):
-        # the derived order on the shifted contour against a high order on
-        # the unshifted one
+    @pytest.mark.parametrize("case", ["n1", "n2"])
+    def test_coefficients_match_the_explicit_grid(self, case):
+        # the moment recurrence against a high order on the unshifted
+        # Gauss-Hermite grid
         if case == "n1":
             problem, w, nbasis, order = scalar_problem(-0.3 + 0.1j, 0.08), np.array([1.5 - 0.5j]), 12, 30
         else:
             problem = diagonal_levi_problem(np.random.default_rng(3), 2)
             w, nbasis, order = np.array([0.8, 0.3j]), 10, 16
-        pieces = record_pieces(monkeypatch)
-        if case == "n2 chunked":
-            # degree 3, order 2: the whole table, 10 rows at 2^4 points, is 2560 bytes
-            monkeypatch.setattr(oracle_module, "_TABLE_MAX_BYTES", 2000)
         ref = self.explicit_coefficients(problem, w, nbasis, order)
         got = _coherent_coefficients(problem, w, nbasis)
-        assert len(pieces) == (2 if case == "n2 chunked" else 1)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_basis_above_the_budget_is_refused_before_allocating(self, monkeypatch):
-        # at n = 2 a table slice has nbasis rows at order^3 points, with
-        # order = degree // 2 + 1: the first refused basis is near 1200
-        def refused(nbasis):
-            order = oracle_module._basis_degree(2, nbasis) // 2 + 1
-            return oracle_module._table_bytes(2, nbasis, order) > oracle_module._TABLE_MAX_BYTES
+    @staticmethod
+    def reference_coefficients(problem, w, nbasis):
+        """The Gaussian moment recurrence at 50 digits, from the same
+        exponent matrix G."""
+        mp = pytest.importorskip("mpmath")
+        n = problem.n
+        with mp.workdps(50):
+            g = mp.matrix(_gaussian_exponent_matrix(problem).tolist())
+            ginv = g ** -1
+            h = [mp.mpf(float(v)) for v in np.real(np.diag(problem.weight.h))]
+            hw = [h[i] * mp.conj(mp.mpc(complex(w[i]))) for i in range(n)]
+            lin = mp.matrix([2 * v for v in hw] + [2j * v for v in hw])
+            mean = ginv * lin / 2
+            mu = [mean[i] - 1j * mean[n + i] for i in range(n)]
+            cov = [[(ginv[l, i] - ginv[n + l, n + i] - 1j * (ginv[l, n + i] + ginv[n + l, i])) / 2
+                    for i in range(n)] for l in range(n)]
+            m = {(0,) * n: mp.mpc(1)}
+            for alpha in monomial_indices(n, nbasis)[1:]:
+                l = max(i for i, a in enumerate(alpha) if a)
+                p = alpha[:l] + (alpha[l] - 1,) + alpha[l + 1:]
+                acc = mu[l] * m[p]
+                for i, pi in enumerate(p):
+                    if pi:
+                        acc += cov[l][i] * mp.sqrt(2 * h[i] * pi) * m[p[:i] + (pi - 1,) + p[i + 1:]]
+                m[alpha] = mp.sqrt(2 * h[l] / alpha[l]) * acc
+            phi = sum(h[i] * abs(mp.mpc(complex(w[i]))) ** 2 for i in range(n))
+            log_pref = (sum(mp.log(2 * v) for v in h)
+                        - sum(mp.log(e) for e in mp.eig(g, left=False, right=False)) / 2
+                        + sum(lin[i] * mean[i] for i in range(2 * n)) / 2 - phi)
+            pref = mp.exp(log_pref)
+            return np.array([complex(v * pref) for v in m.values()])
 
-        first = next(m for m in itertools.count(1000) if refused(m))
-        assert 1100 < first < 1300 and all(refused(m) for m in range(first, first + 200))
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("family", ["separable", "general"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coefficients_match_a_50_digit_recurrence(self, n, family, seed):
+        # the recurrence loses nothing to rounding beyond a few ulps of the
+        # largest coefficient
+        rng = np.random.default_rng([seed, n])
+        problem = (separable_problem(rng, n) if family == "separable"
+                   else diagonal_levi_problem(rng, n))
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w *= 4.0 / np.linalg.norm(w)
+        nbasis = 40 + int(6.0 * problem.weight.value(w))
+        ref = self.reference_coefficients(problem, w, nbasis)
+        got = _coherent_coefficients(problem, w, nbasis)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_basis_above_the_budget_is_refused_before_allocating(self, monkeypatch):
+        # the recurrence's state is counted at 256 bytes per monomial, so
+        # the 256 MiB budget admits 2^20 monomials; a Levi form of 1e7 I
+        # asks for 6e7 of them at e_1
+        budget = oracle_module._TABLE_MAX_BYTES
+        assert oracle_module._coherent_state_bytes(1 << 20) <= budget
+        assert oracle_module._coherent_state_bytes((1 << 20) + 1) > budget
 
         def never(*args):
             raise AssertionError("basis listed")
 
         monkeypatch.setattr(oracle_module, "monomial_indices", never)
         with pytest.raises(OracleRefusal, match="256 MiB"):
-            numeric_coherent_norm(trivial_problem(2), [1.0, 0.0], nbasis=first)
+            numeric_coherent_norm(trivial_problem(2), [1.0, 0.0], nbasis=(1 << 20) + 1)
+        huge = ToeplitzProblem(Weight(1e7 * np.eye(2), np.zeros((2, 2))),
+                               ComplexQuadraticForm.zero(2))
+        with pytest.raises(OracleRefusal, match="60000040 monomials"):
+            numeric_coherent_norm(huge, [1.0, 0.0])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_counted_bytes_bound_the_recurrence(self, n):
+        rng = np.random.default_rng(5)
+        problem = separable_problem(rng, n)
+        w = np.eye(n, dtype=complex)[0]
+        _coherent_coefficients(problem, w, 10)  # NumPy's lazy imports
+        nbasis = 20000
+        tracemalloc.start()
+        try:
+            _coherent_coefficients(problem, w, nbasis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert oracle_module._coherent_state_bytes(nbasis) / 2 < peak
+        assert peak <= oracle_module._coherent_state_bytes(nbasis)
 
     def test_norm_peak_memory(self):
         problem = scalar_problem(-0.4 + 0.1j)
@@ -582,7 +652,7 @@ class TestCoherentNorms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # basis 64 on the shifted rule of order 32: one 64 x 32^2 complex table
+        # basis 64: the recurrence's state is counted at 16 KiB
         assert peak < 4 * (1 << 20)
 
     def test_weak_convergence_of_coherent_states(self):
