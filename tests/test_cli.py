@@ -675,8 +675,7 @@ class TestOracleCommand:
         assert main(["oracle", path, "--experiment", "trend"]) == 2
 
     def test_n2_trend_at_default_sizes(self, tmp_path, capsys):
-        # the Galerkin order follows the basis degree, so N = 40 at n = 2
-        # needs a 9-point rule per real variable
+        # N = 40 at n = 2 reaches total degree 8
         path = tmp_path / "p.yaml"
         path.write_text(
             "n: 2\nphi0:\n  hermitian: [[[0.25, 0], [0, 0]], [[0, 0], [0.2, 0]]]\n"
@@ -705,8 +704,8 @@ class TestOracleCommand:
     )
 
     def test_top_degree_section_is_finite(self, tmp_path):
-        # |x|^199 at the far nodes overflowed before the rows were
-        # normalized, and the SVD of the section did not converge
+        # the top-degree entries stay finite: |x|^199 at the far nodes of a
+        # quadrature rule overflowed, and the SVD of the section did not converge
         path = tmp_path / "p.yaml"
         path.write_text(self.DIAGONAL_LEVI_N1)
         proc = run_capped("oracle", str(path), "--experiment", "trend", "-N", "200")
@@ -739,10 +738,19 @@ class TestOracleCommand:
         assert "60000040 monomials" in proc.stderr
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("sizes", ["180", "1000000"])
+    @pytest.mark.parametrize("sizes", ["180", "400"])
+    def test_radial_section_past_the_laguerre_limit(self, tmp_path, capsys, sizes):
+        # a Gauss-Laguerre rule of order size + 10 overflowed from order 187;
+        # the moment recurrence gives the exact |2h / (2h - lam)|^(k+1)
+        path = write_model_file(tmp_path / "p.yaml", complex(-0.5, 0.1))
+        assert main(["oracle", path, "--experiment", "trend", "-N", sizes]) == 0
+        norms = json.loads(capsys.readouterr().out)["norms"]
+        assert norms == [pytest.approx(abs(0.5 / (0.5 - (-0.5 + 0.1j))), rel=1e-12)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sizes", ["1000000"])
     def test_radial_rule_beyond_its_finite_order_refused(self, tmp_path, capsys, sizes):
-        # Gauss-Laguerre overflows from order 187; size 180 ended in an SVD
-        # that did not converge
+        # a section of size 10^6 needs 16 TB, far past the oracle's budget
         path = write_model_file(tmp_path / "p.yaml", complex(-0.5, 0.1))
         assert main(["oracle", path, "--experiment", "trend", "-N", sizes]) == 2
         captured = capsys.readouterr()
