@@ -15,7 +15,11 @@ the basis norms as it goes: entries stay near the size of the integrand,
 not |x|^d, and no oscillatory factor is summed.  One byte budget,
 ``_TABLE_MAX_BYTES``, bounds a section's table with its basis, or a
 coherent state's basis with its moments, and a basis over it is refused
-before it is listed.
+before it is listed.  Coherent states at several points of one problem
+(``coherent_norms``) share everything but their mean: the checks, G,
+G^{-1}, the pseudo-covariance and the Gaussian prefactor are set up once,
+and the basis is listed once, at the largest size, since each smaller
+basis is a prefix of it in the degree-then-lex order.
 
 The Weyl convolution alone runs a quadrature rule, since its integrand is
 an exponential, not a polynomial.  It keeps its whole exponent, quadratic
@@ -29,7 +33,16 @@ e^{alpha s}.  The tensor rule for that product is the product of the 1d
 sums.  Nodes come from ``scipy.special.roots_hermite`` (Golub-Welsch with
 a Newton step, an asymptotic expansion from order 150); the logarithms of
 the weights come from a recurrence instead, since the orders reach
-thousands, where the far weights underflow.
+thousands, where the far weights underflow.  Convolutions at several
+points of one problem (``weyl_convolutions``) share the checks, G, G^{-1/2}
+and the x-free part of the prefactor, and ``hermite_log_rules`` runs the
+weight recurrences of several orders in one pass, each rule's bits those
+of its own recurrence.
+
+Near the float maximum or minimum a problem can be admissible while G,
+a pseudo-covariance, det(H), a basis size or a Weyl prefactor leaves the
+double range; each is checked where it is first formed and raises
+``NumericalFailure``, with no warning on the way.
 
 SciPy serves only the Weyl convolution and is imported inside the
 functions that call it, so importing the package, ``classify``, ``scan``
@@ -38,6 +51,7 @@ and the ``trend``, ``decay`` and ``coherent`` experiments do not load it.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -59,8 +73,11 @@ __all__ = [
     "DecayEstimate",
     "singular_decay",
     "WeylConvolution",
+    "hermite_log_rules",
+    "weyl_convolutions",
     "weyl_convolution",
     "numeric_weyl",
+    "coherent_norms",
     "numeric_coherent_norm",
 ]
 
@@ -120,6 +137,15 @@ def _require_bytes(nbytes: int, what: str) -> None:
         raise OracleRefusal(
             f"{what} needs more memory than the oracle's limit of {_TABLE_MAX_BYTES >> 20} MiB"
         )
+
+
+def _require_finite(mat, what: str) -> None:
+    """Fail on a matrix with an entry outside the double range.  Near the
+    float maximum an admissible problem's doubled or quadrupled forms
+    overflow, and no eigensolver takes an infinite entry; callers form the
+    matrix with NumPy's warnings off and check it here."""
+    if not np.isfinite(mat).all():
+        raise NumericalFailure(f"{what} leaves the double range")
 
 
 def _require_oracle_weight(weight: Weight) -> np.ndarray:
@@ -191,14 +217,16 @@ class _MomentRecurrence:
         # sqrt(2h_l / alpha_l); the constant's entry is never used
         self.step = sqrt_2h[self.last] / np.sqrt(np.maximum(a[self.last, cols], 1))
 
-    def steps(self):
+    def steps(self, size: int):
         """(j, p, l, sqrt(2h_l / alpha_l), lower, raised) for each
-        alpha = alpha_j after the constant, with p the position of its parent
-        and ``lower``, ``raised`` the parent's columns of those arrays, as
-        Python numbers: they are converted 1024 monomials at a time, which
-        keeps the per-monomial state in NumPy arrays and the recurrences'
-        loops on Python scalars."""
-        size, block = self.parent.size, 1 << 10
+        alpha = alpha_j after the constant among the first ``size``, with p
+        the position of its parent and ``lower``, ``raised`` the parent's
+        columns of those arrays, as Python numbers: they are converted 1024
+        monomials at a time, which keeps the per-monomial state in NumPy
+        arrays and the recurrences' loops on Python scalars.  The basis
+        order is prefix-closed, so a prefix runs the recurrence of the
+        smaller basis, bit for bit, with no copy of its arrays."""
+        block = 1 << 10
         for start in range(1, size, block):
             js = slice(start, min(start + block, size))
             ps = self.parent[js]
@@ -217,9 +245,11 @@ def _gaussian_exponent_matrix(problem: ToeplitzProblem) -> np.ndarray:
     pluriharmonic part can make it indefinite, which is refused."""
     weight, q = problem.weight, problem.q
     # 2 Phi has blocks (2P, 2H, 2 conj(P)) in the convention of forms
-    g = _block_order(form_matrix(
-        2.0 * weight.p - q.qxx, 2.0 * weight.h - q.qxbx, 2.0 * np.conj(weight.p) - q.qxbxb
-    ))
+    with np.errstate(all="ignore"):
+        g = _block_order(form_matrix(
+            2.0 * weight.p - q.qxx, 2.0 * weight.h - q.qxbx, 2.0 * np.conj(weight.p) - q.qxbxb
+        ))
+    _require_finite(g, "the Gaussian exponent matrix")
     re_eigs = np.linalg.eigvalsh(np.real(g))
     if re_eigs[0] <= 0.0:
         raise QuadratureDivergence(
@@ -243,7 +273,9 @@ def _pseudo_covariances(ginv: np.ndarray):
     so z = (x, conj(x)) has Sigma = P G^{-1} P^T / 2."""
     n = ginv.shape[0] // 2
     p = _xxbar_rows(n)
-    sigma = p @ ginv @ p.T / 2.0
+    with np.errstate(all="ignore"):
+        sigma = p @ ginv @ p.T / 2.0
+    _require_finite(sigma, "the Gaussian's pseudo-covariance")
     return sigma[:n, :n], sigma[:n, n:], sigma[n:, n:]
 
 
@@ -305,7 +337,7 @@ def truncated_matrix(problem: ToeplitzProblem, size: int) -> TruncatedOperator:
     # column k above the diagonal, then row k up to it
     passes = ((t.T, sxbxb.tolist(), along_col, 0), (t, sxx.tolist(), along_row, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, p, l, step, below, raised in rec.steps():
+        for k, p, l, step, below, raised in rec.steps(size):
             for mat, cov, mixed, diagonal in passes:
                 width = k + diagonal
                 acc = (mixed[l, :, :width] * mat[p][rec.lower[:, :width]]).sum(axis=0)
@@ -401,24 +433,42 @@ def _hermite_order(alpha: float) -> int:
     return order
 
 
-def _hermite_log_rule(order: int):
-    """Gauss-Hermite nodes and the logarithms of their weights.
+def hermite_log_rules(orders) -> dict:
+    """{order: (nodes, log-weights)} of the Gauss-Hermite rules of
+    ``orders``, their weight recurrences run in one pass.
 
     From order ~400 the weights of the far nodes underflow to 0, yet a
     large alpha puts the integrand's peak there.  Written as
     1 / (N p(s)^2), with p the orthonormal Hermite polynomial of degree
     N - 1, their logarithms do not: p runs through its three-term
-    recurrence, rescaled whenever it exceeds 1.
+    recurrence, rescaled whenever it exceeds 1.  The nodes of every
+    distinct order, smallest first, run through it together; a rule is
+    read off and its nodes dropped once p reaches its degree, so each rule
+    takes the arithmetic, and the bits, of its own recurrence, and a call
+    takes as many steps as its largest order.
     """
     from scipy.special import roots_hermite
 
-    s, _ = roots_hermite(order)
+    orders = sorted(set(orders))
+    s = np.concatenate([roots_hermite(order)[0] for order in orders])
     p_prev, p, log_p = np.zeros_like(s), np.full_like(s, math.pi ** -0.25), np.zeros_like(s)
-    for k in range(1, order):
-        p_prev, p = p, math.sqrt(2.0 / k) * s * p - math.sqrt((k - 1) / k) * p_prev
-        scale = np.maximum(np.abs(p), 1.0)
-        p_prev, p, log_p = p_prev / scale, p / scale, log_p + np.log(scale)
-    return s, -math.log(order) - 2.0 * (np.log(np.abs(p)) + log_p)
+    rules, degree = {}, 0
+    for order in orders:
+        for k in range(degree + 1, order):
+            p_prev, p = p, math.sqrt(2.0 / k) * s * p - math.sqrt((k - 1) / k) * p_prev
+            scale = np.maximum(np.abs(p), 1.0)
+            p_prev, p, log_p = p_prev / scale, p / scale, log_p + np.log(scale)
+        degree = order - 1
+        log_w = -math.log(order) - 2.0 * (np.log(np.abs(p[:order])) + log_p[:order])
+        rules[order] = (s[:order], log_w)
+        s, p_prev, p, log_p = s[order:], p_prev[order:], p[order:], log_p[order:]
+    return rules
+
+
+def _hermite_log_rule(order: int):
+    """Gauss-Hermite nodes and the logarithms of their weights, the
+    one-order case of :func:`hermite_log_rules`."""
+    return hermite_log_rules((order,))[order]
 
 
 @dataclass
@@ -435,9 +485,12 @@ class WeylConvolution:
         return _hermite_order(float(np.max(np.abs(self.alpha))))
 
     def value(self, order: int | None = None) -> complex:
-        """The tensor Gauss-Hermite rule, evaluated as the product of its
-        one-dimensional sums."""
-        s, log_w = _hermite_log_rule(self.order if order is None else order)
+        """The tensor Gauss-Hermite rule of the derived order, or of ``order``."""
+        return self.rule_value(*_hermite_log_rule(self.order if order is None else order))
+
+    def rule_value(self, s: np.ndarray, log_w: np.ndarray) -> complex:
+        """The tensor rule on the 1d nodes ``s`` with log-weights ``log_w``,
+        evaluated as the product of its one-dimensional sums."""
         a = self.alpha[:, None]
         # taken relative to e^{alpha^2/4}, no term overflows
         sums = np.exp(log_w + a * s - a * a / 4.0).sum(axis=1)
@@ -445,9 +498,9 @@ class WeylConvolution:
         return complex(np.exp(log_total))
 
 
-def weyl_convolution(problem: ToeplitzProblem, x) -> WeylConvolution:
-    """The heat-flow convolution of e^q at the graph point over x, reduced
-    to one-dimensional Gaussian integrals.
+def weyl_convolutions(problem: ToeplitzProblem, points) -> list:
+    """The heat-flow convolution of e^q at the graph point over each x of
+    ``points``, reduced to one-dimensional Gaussian integrals.
 
     The heat kernel of H^{-1}/4 is the density (4/pi)^n det(H) e^{-4 wbar.Hw}
     on C^n, so in block coordinates t of w the integrand is
@@ -457,27 +510,50 @@ def weyl_convolution(problem: ToeplitzProblem, x) -> WeylConvolution:
     exponent -s.s + b.s with b = M l, and the contour shift s -> s + i Im(b)/2
     leaves the real linear term alpha = Re b: on the shifted contour the
     integrand is positive, so the rule sums without cancellation.
+
+    The checks, G, M, det(M) and the x-free part of the log prefactor are
+    the problem's and are set up once; only b and the rest of the
+    prefactor are taken at each point.
     """
     problem.require_admissible()
     _require_small(problem)
     n, q, h = problem.n, problem.q, problem.weight.h
-    x = np.atleast_1d(np.asarray(x, dtype=complex))
-
     fmat = _block_order(form_matrix(q.qxx, q.qxbx, q.qxbxb))
-    gmat = 4.0 * np.block([[h.real, -h.imag], [h.imag, h.real]]) - fmat
-    if np.linalg.eigvalsh(gmat.real)[0] <= 0.0:
-        raise NotAbsolutelyConvergent(
-            "shifted exponent of the convolution is not negative definite"
-        )
-    minv, detm = _substitution(gmat)
-    xt = np.concatenate((x.real, x.imag))
-    b = minv.T @ (-2.0 * fmat @ xt)
-    alpha, beta = b.real, b.imag
-    log_prefactor = (
-        n * math.log(4.0 / math.pi) + math.log(np.linalg.det(h).real) + np.log(detm)
-        + xt @ fmat @ xt + np.sum(0.5j * alpha * beta - 0.25 * beta ** 2)
-    )
-    return WeylConvolution(complex(log_prefactor), alpha)
+    # far from unit scale G, det(H) and the terms of each point leave the
+    # double range; each is checked instead of warned about
+    with np.errstate(all="ignore"):
+        gmat = 4.0 * np.block([[h.real, -h.imag], [h.imag, h.real]]) - fmat
+        _require_finite(gmat, "the exponent of the Weyl convolution")
+        if np.linalg.eigvalsh(gmat.real)[0] <= 0.0:
+            raise NotAbsolutelyConvergent(
+                "shifted exponent of the convolution is not negative definite"
+            )
+        minv, detm = _substitution(gmat)
+        det_h = float(np.linalg.det(h).real)
+        if not 0.0 < det_h < math.inf:
+            raise NumericalFailure(f"det(H) = {det_h!r} leaves the double range")
+        log_base = n * math.log(4.0 / math.pi) + math.log(det_h) + np.log(detm)
+        convs = []
+        for x in points:
+            x = np.atleast_1d(np.asarray(x, dtype=complex))
+            xt = np.concatenate((x.real, x.imag))
+            b = minv.T @ (-2.0 * fmat @ xt)
+            alpha, beta = b.real, b.imag
+            log_prefactor = complex(
+                log_base + xt @ fmat @ xt + np.sum(0.5j * alpha * beta - 0.25 * beta ** 2)
+            )
+            if not (np.isfinite(b).all() and cmath.isfinite(log_prefactor)):
+                raise NumericalFailure(
+                    f"the Weyl convolution at |x| = {np.linalg.norm(x):.3e} leaves the double range"
+                )
+            convs.append(WeylConvolution(log_prefactor, alpha))
+    return convs
+
+
+def weyl_convolution(problem: ToeplitzProblem, x) -> WeylConvolution:
+    """The Weyl convolution at the graph point over x: the one-point case
+    of :func:`weyl_convolutions`."""
+    return weyl_convolutions(problem, (x,))[0]
 
 
 def numeric_weyl(problem: ToeplitzProblem, x, order: int | None = None) -> complex:
@@ -489,9 +565,23 @@ def numeric_weyl(problem: ToeplitzProblem, x, order: int | None = None) -> compl
 # ---------------------------------------------------------------------------
 # coherent-state norms
 
-def _coherent_coefficients(problem: ToeplitzProblem, w, nbasis: int):
-    """Basis coefficients <e^q k_w, e_j> for the normalized coherent state
-    k_w; their square sum is the squared norm of the operator image.
+def _coherent_basis_size(problem: ToeplitzProblem, w) -> int:
+    """The default basis at w, 40 + 6 Phi(w) monomials: the coherent
+    state's mass sits near degree 2 Phi(w)."""
+    six_phi = 6.0 * problem.weight.value(w)
+    if not math.isfinite(six_phi):
+        raise NumericalFailure(
+            f"the coherent-state basis at |w| = {np.linalg.norm(w):.3e} has {six_phi!r} "
+            "monomials, past the double range"
+        )
+    return 40 + int(six_phi)
+
+
+def _coherent_states(problem: ToeplitzProblem, points, nbasis: int | None = None):
+    """(w, basis size, coefficients) for each w of ``points``, in turn: the
+    basis coefficients <e^q k_w, e_j> for the normalized coherent state
+    k_w, on ``nbasis`` monomials or on the default basis at w; their square
+    sum is the squared norm of the operator image.
 
     In block coordinates t the coefficient of x^alpha integrates
     conj(x)^alpha e^{-t.Gt + l.t}, where l.t = 2 conj(w).H x is the
@@ -501,50 +591,69 @@ def _coherent_coefficients(problem: ToeplitzProblem, w, nbasis: int):
     Gaussian of mean G^{-1}l/2 and covariance G^{-1}/2: y has mean
     mu = P G^{-1}l/2 and the pseudo-covariance of conj(x), and
     :class:`_MomentRecurrence` gives the moments normalized by the basis
-    norms."""
+    norms.
+
+    Only mu and e^{l.G^{-1}l/4} depend on w.  The checks, G, G^{-1}, the
+    pseudo-covariance and the rest of the prefactor are set up once, and
+    the basis and its recurrence are listed once, at the largest size;
+    each smaller basis runs the same recurrence over a prefix.  Every
+    size is held to ``_TABLE_MAX_BYTES`` before the basis is listed."""
     problem.require_admissible()
     _require_small(problem)
     hdiag = _require_oracle_weight(problem.weight)
     n = problem.n
-    _require_bytes(_basis_bytes(nbasis), f"a coherent-state basis of {nbasis} monomials")
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    points = [np.atleast_1d(np.asarray(w, dtype=complex)) for w in points]
+    sizes = [_coherent_basis_size(problem, w) if nbasis is None else nbasis for w in points]
+    for size in sizes:
+        _require_bytes(_basis_bytes(size), f"a coherent-state basis of {size} monomials")
     g = _gaussian_exponent_matrix(problem)
-    hw = np.conj(w) @ problem.weight.h
-    lin = 2.0 * np.concatenate((hw, 1j * hw))
     ginv = np.linalg.inv(g)
-    mean = ginv @ lin / 2.0
-    mu = (mean[:n] - 1j * mean[n:]).tolist()
-    rec = _MomentRecurrence(monomial_indices(n, nbasis), hdiag)
     cov = _pseudo_covariances(ginv)[2].tolist()
-    m = [1.0 + 0.0j] * nbasis
-    for j, p, l, step, below, raised in rec.steps():
-        acc = mu[l] * m[p]
-        for c, low, r in zip(cov[l], below, raised):
-            if r:
-                acc += c * r * m[low]
-        m[j] = step * acc
     # pi^n / ||1|| times the coherent-state normalization prod sqrt(2 h_i / pi)
     # is prod 2 h_i, as in a Galerkin entry
-    log_pref = (_log_gaussian_prefactor(g, hdiag) + lin @ mean / 2.0
-                - problem.weight.value(w))
-    return np.array(m) * np.exp(log_pref)
+    log_gaussian = _log_gaussian_prefactor(g, hdiag)
+    rec = _MomentRecurrence(monomial_indices(n, max(sizes)), hdiag)
+    for w, size in zip(points, sizes):
+        hw = np.conj(w) @ problem.weight.h
+        lin = 2.0 * np.concatenate((hw, 1j * hw))
+        mean = ginv @ lin / 2.0
+        mu = (mean[:n] - 1j * mean[n:]).tolist()
+        m = [1.0 + 0.0j] * size
+        for j, p, l, step, below, raised in rec.steps(size):
+            acc = mu[l] * m[p]
+            for c, low, r in zip(cov[l], below, raised):
+                if r:
+                    acc += c * r * m[low]
+            m[j] = step * acc
+        log_pref = log_gaussian + lin @ mean / 2.0 - problem.weight.value(w)
+        yield w, size, np.array(m) * np.exp(log_pref)
+
+
+def _coherent_coefficients(problem: ToeplitzProblem, w, nbasis: int) -> np.ndarray:
+    """The coefficients of the coherent state at w on ``nbasis`` monomials."""
+    return next(_coherent_states(problem, (w,), nbasis))[2]
+
+
+def coherent_norms(problem: ToeplitzProblem, points, nbasis: int | None = None) -> list:
+    """Norms of the operator applied to the normalized coherent states at
+    each w of ``points``, via basis expansion of the projected image (no
+    stationary-phase constants involved), on ``nbasis`` monomials or on the
+    default basis 40 + 6 Phi(w).  A norm that is not a positive finite
+    number, as when the basis is far too small for |w| or a double
+    overflows, raises ``NumericalFailure``."""
+    norms = []
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for w, size, coeffs in _coherent_states(problem, points, nbasis):
+            norm = float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
+            if not 0.0 < norm < math.inf:
+                raise NumericalFailure(
+                    f"coherent-state norm at |w| = {np.linalg.norm(w):.3e} on a basis of {size} "
+                    f"monomials is {norm!r}, not a positive finite number"
+                )
+            norms.append(norm)
+    return norms
 
 
 def numeric_coherent_norm(problem: ToeplitzProblem, w, nbasis: int | None = None) -> float:
-    """Norm of the operator applied to the normalized coherent state at w,
-    via basis expansion of the projected image (no stationary-phase
-    constants involved).  A norm that is not a positive finite number, as
-    when the basis is far too small for |w| or a double overflows, raises
-    ``NumericalFailure``."""
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    if nbasis is None:
-        nbasis = 40 + int(6.0 * problem.weight.value(w))
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        coeffs = _coherent_coefficients(problem, w, nbasis)
-        norm = float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
-    if not 0.0 < norm < math.inf:
-        raise NumericalFailure(
-            f"coherent-state norm at |w| = {np.linalg.norm(w):.3e} on a basis of {nbasis} "
-            f"monomials is {norm!r}, not a positive finite number"
-        )
-    return norm
+    """The one-point case of :func:`coherent_norms`."""
+    return coherent_norms(problem, (w,), nbasis)[0]

@@ -181,19 +181,33 @@ COHERENT_RADII = (1.0, 2.0, 4.0)
 def weyl_evidence(problem: ToeplitzProblem) -> dict:
     """The Weyl convolution against the closed form over 0, e_1 and 2 e_1,
     with its derived order and its change when that order is doubled; a
-    change above ``WEYL_REFINEMENT_BOUND`` raises ``NumericalFailure``."""
+    change above ``WEYL_REFINEMENT_BOUND`` raises ``NumericalFailure``.
+
+    The problem's part of the convolution is set up once for the three
+    points, and the Gauss-Hermite rules of every derived order and of its
+    double come from one pass of the weight recurrence
+    (:func:`oracle.hermite_log_rules`); each value equals
+    ``oracle.numeric_weyl`` at its point and order bit for bit."""
     from .io import cpx  # only here: importing bargtop compiles no file-format regex
     symbol = weyl.weyl_symbol(problem)
     e1 = np.eye(problem.n, dtype=complex)[0]
-    rows, orders, refinement = [], [], 0.0
-    for pt in (0.0 * e1, e1, 2.0 * e1):
-        conv = oracle.weyl_convolution(problem, pt)
-        orders.append(conv.order)
-        num = conv.value(orders[-1])
-        # self-check: the same rule at twice the derived order
-        fine = conv.value(2 * orders[-1])
+    points = (0.0 * e1, e1, 2.0 * e1)
+    convs = oracle.weyl_convolutions(problem, points)
+    orders = [conv.order for conv in convs]
+    # self-check: the same rule at twice the derived order
+    rules = oracle.hermite_log_rules(orders + [2 * order for order in orders])
+    rows, refinement = [], 0.0
+    for pt, conv, order in zip(points, convs, orders):
+        # a value, or a modulus, past the double range is checked, not warned
+        # about: Python's abs would raise OverflowError on the modulus
+        with np.errstate(over="ignore", invalid="ignore"):
+            num, fine = conv.rule_value(*rules[order]), conv.rule_value(*rules[2 * order])
+            ref = symbol.evaluate(pt)
+            finite = np.isfinite(np.abs([num, fine, ref, fine - num, num - ref])).all()
+        if not finite:
+            raise NumericalFailure(f"the Weyl convolution or its closed form at |x| = "
+                                   f"{np.linalg.norm(pt):.3e} leaves the double range")
         refinement = max(refinement, abs(fine - num) / max(abs(fine), 1e-300))
-        ref = symbol.evaluate(pt)
         rows.append({"x": [cpx(v) for v in pt], "numeric": cpx(num), "closed_form": cpx(ref),
                      "rel_error": abs(num - ref) / max(abs(ref), 1e-300)})
     if refinement > WEYL_REFINEMENT_BOUND:
@@ -207,9 +221,15 @@ def weyl_evidence(problem: ToeplitzProblem) -> dict:
 def coherent_slope(problem: ToeplitzProblem, radii) -> tuple:
     """(log-norms, slope): the log-norms of the operator applied to the
     normalized coherent states at r e_1 for r in ``radii``, and the slope of
-    their least-squares line in r^2."""
+    their least-squares line in r^2.
+
+    The norms come from one :func:`oracle.coherent_norms` call: the
+    problem's Gaussian and the basis, at the largest radius' size, are set
+    up once, and each log-norm equals that of
+    ``oracle.numeric_coherent_norm`` at its radius bit for bit."""
     e1 = np.eye(problem.n, dtype=complex)[0]
-    logs = [float(np.log(oracle.numeric_coherent_norm(problem, r * e1))) for r in radii]
+    norms = oracle.coherent_norms(problem, [r * e1 for r in radii])
+    logs = [float(np.log(norm)) for norm in norms]
     return logs, float(np.polyfit(np.asarray(radii) ** 2, logs, 1)[0])
 
 

@@ -737,6 +737,52 @@ class TestOracleCommand:
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert "60000040 monomials" in proc.stderr
 
+    def test_coherent_refusal_precedes_every_basis(self, tmp_path, capsys, monkeypatch):
+        # Phi(e_1) = 20000: the bases at radii 1 and 2 fit the budget, the
+        # 1920040 monomials at radius 4 do not, and nothing is listed
+        def never(*args):
+            raise AssertionError("basis listed")
+
+        monkeypatch.setattr(oracle, "monomial_indices", never)
+        path = tmp_path / "p.yaml"
+        path.write_text("n: 1\nphi0:\n  hermitian: [[[20000.0, 0.0]]]\n")
+        assert main(["oracle", str(path), "--experiment", "coherent"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "1920040 monomials" in captured.err
+
+    OVERFLOW_N1 = ("n: 1\nphi0:\n  hermitian: [[[1.0e+308, 0.0]]]\n"
+                   "q:\n  xbarx: [[[-1.0e+308, 0.0]]]\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("experiment", ["trend", "decay", "weyl", "coherent"])
+    def test_overflow_near_the_float_maximum_exits_three(self, tmp_path, capsys, experiment):
+        # classify accepts the problem, but twice or four times H, and 6 Phi(e_1),
+        # pass the double range
+        path = tmp_path / "p.yaml"
+        path.write_text(self.OVERFLOW_N1)
+        assert main(["classify", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["oracle", str(path), "--experiment", experiment]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure:") and captured.err.count("\n") == 1
+        assert "double range" in captured.err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weyl_value_past_the_double_range_exits_three(self, tmp_path, capsys):
+        # the convolution and the closed form at 2 e_1 are near e^2000: their
+        # relative error was NaN, reported with exit 0
+        path = tmp_path / "p.yaml"
+        path.write_text("n: 1\nphi0:\n  hermitian: [[[1000.0, 0.0]]]\n"
+                        "q:\n  xbarx: [[[500.0, 100.0]]]\n")
+        assert main(["oracle", str(path), "--experiment", "weyl"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure:") and captured.err.count("\n") == 1
+        assert "2.000e+00 leaves the double range" in captured.err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sizes", ["180", "400"])
     def test_radial_section_past_the_laguerre_limit(self, tmp_path, capsys, sizes):

@@ -11,7 +11,7 @@ import io
 import os
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from bargtop import verify
 from bargtop.cli import main
@@ -90,9 +90,18 @@ def problem_path(tmp_path_factory):
         st.lists(st.integers(1, 20), min_size=1, max_size=3).map(lambda s: ",".join(map(str, s))),
         st.sampled_from(["0", "-3", "", "5,,10", "x"]),
     ),
+    # the whole problem dilated toward the float maximum, where the oracle's
+    # Gaussian exponents, bases and values overflow
+    scale=st.sampled_from([1.0, 1e150, 1e300, 1e308]),
 )
-def test_oracle_exits_with_a_code(problem_path, h, p, q, experiment, sizes):
-    qxx, qxbx, qxbxb = q
+# dilations that overflowed 6 Phi(e_1) and the modulus of a Weyl value
+@example(h=0.3, p=0j, q=(0j, -0.5 + 0j, 0j), experiment="coherent", sizes="10", scale=1e308)
+@example(h=0.2864119, p=-0.2695472 + 0.1603106j,
+         q=(0.2991968 + 0.3275483j, -0.3397056 + 0.2545481j, 0.3368365 + 0.3200471j),
+         experiment="weyl", sizes="10", scale=1e308)
+def test_oracle_exits_with_a_code(problem_path, h, p, q, experiment, sizes, scale):
+    h, p = scale * h, scale * p
+    qxx, qxbx, qxbxb = (scale * v for v in q)
     problem_path.write_text(
         f"n: 1\nphi0:\n  hermitian: [[{yaml_complex(complex(h))}]]\n"
         f"  pluriharmonic: [[{yaml_complex(p)}]]\n"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from bargtop.oracle import (
     _hermite_log_rule,
     _hermite_order,
     _substitution,
+    coherent_norms,
+    hermite_log_rules,
     is_plateau,
     monomial_indices,
     norm_trend,
@@ -30,9 +33,10 @@ from bargtop.oracle import (
     singular_decay,
     truncated_matrix,
     weyl_convolution,
+    weyl_convolutions,
 )
 from bargtop.toeplitz import ToeplitzProblem, VerdictClass, classify_operator
-from bargtop.verify import random_admissible_problem
+from bargtop.verify import COHERENT_RADII, coherent_slope, random_admissible_problem, weyl_evidence
 from bargtop.weyl import weyl_symbol
 
 
@@ -557,6 +561,42 @@ class TestNumericWeyl:
         assert got == pytest.approx(weyl_symbol(problem).evaluate(x), rel=1e-9)
 
 
+class TestWeylEvidence:
+    """weyl_evidence sets the problem up once and builds its rules in one
+    pass; each of its numbers is still the one-point convolution's."""
+
+    @pytest.mark.parametrize("case", ["separable n1", "general n1", "general n2", "classify_n2"])
+    def test_values_are_the_one_point_convolution(self, case):
+        from bargtop.io import load_problem
+
+        if case == "classify_n2":
+            problem = load_problem(str(Path(__file__).parent / "data" / "classify_n2.yaml"))
+        elif case.startswith("separable"):
+            problem = separable_problem(np.random.default_rng(7), 1)
+        else:
+            n = int(case[-1])
+            problem = random_admissible_problem(np.random.default_rng(n), n, levi_range=(0.2, 1.0))
+        evidence = weyl_evidence(problem)
+        orders, refinement = [], 0.0
+        for row in evidence["points"]:
+            x = np.array([complex(*v) for v in row["x"]])
+            order = weyl_convolution(problem, x).order
+            num, fine = numeric_weyl(problem, x, order), numeric_weyl(problem, x, 2 * order)
+            assert complex(*row["numeric"]) == num
+            orders.append(order)
+            refinement = max(refinement, abs(fine - num) / max(abs(fine), 1e-300))
+        assert evidence["order"] == max(orders) > 1
+        assert evidence["refinement"] == refinement
+
+    def test_points_share_one_setup(self):
+        problem = separable_problem(np.random.default_rng(8), 2)
+        points = [np.array([0.5, -1j]), np.array([2.0, 0.0]), np.zeros(2)]
+        for conv, x in zip(weyl_convolutions(problem, points), points):
+            one = weyl_convolution(problem, x)
+            assert conv.log_prefactor == one.log_prefactor
+            assert np.array_equal(conv.alpha, one.alpha)
+
+
 class TestHermiteRule:
     """The Weyl convolution's 1d rule: each factor is the integral of
     e^{-s^2 + alpha s}, exactly sqrt(pi) e^{alpha^2/4}."""
@@ -589,6 +629,29 @@ class TestHermiteRule:
         assert np.exp(log_w).sum() == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
 
+    @staticmethod
+    def one_order_rule(order):
+        """The weight recurrence of one order on its own nodes, rescaled at
+        every step as in the one-pass rules."""
+        s, _ = scipy.special.roots_hermite(order)
+        p_prev, p, log_p = np.zeros_like(s), np.full_like(s, math.pi ** -0.25), np.zeros_like(s)
+        for k in range(1, order):
+            p_prev, p = p, math.sqrt(2.0 / k) * s * p - math.sqrt((k - 1) / k) * p_prev
+            scale = np.maximum(np.abs(p), 1.0)
+            p_prev, p, log_p = p_prev / scale, p / scale, log_p + np.log(scale)
+        return s, -math.log(order) - 2.0 * (np.log(np.abs(p)) + log_p)
+
+    def test_one_pass_rules_are_each_order_rule(self):
+        # unsorted and repeated, as weyl_evidence may ask for them
+        orders = [600, 7, 1, 151, 40, 2, 150, 7]
+        rules = hermite_log_rules(orders)
+        assert sorted(rules) == sorted(set(orders))
+        for order in orders:
+            for s, log_w in (_hermite_log_rule(order), self.one_order_rule(order)):
+                assert np.array_equal(rules[order][0], s)
+                assert np.array_equal(rules[order][1], log_w)
+
+
 class TestCoherentNorms:
     def test_trivial_symbol_normalized(self):
         for r in (0.5, 1.0, 2.0, 4.0):
@@ -606,6 +669,26 @@ class TestCoherentNorms:
         logs = [np.log(numeric_coherent_norm(problem, [r])) for r in radii]
         slope = np.polyfit(radii ** 2, logs, 1)[0]
         assert abs(slope - expect) <= 0.01 * abs(expect)
+
+    @pytest.mark.parametrize("family,n", [("separable", 1), ("separable", 2), ("general", 1),
+                                          ("model", 1)])
+    def test_slope_log_norms_are_the_one_point_norms(self, family, n):
+        # one setup and one basis, listed at the largest radius' size, for
+        # all three radii; each smaller basis runs over a prefix of it
+        rng = np.random.default_rng(11)
+        problem = (separable_problem(rng, n) if family == "separable"
+                   else diagonal_levi_problem(rng, n) if family == "general"
+                   else scalar_problem(-0.4 + 0.1j))
+        logs, _ = coherent_slope(problem, COHERENT_RADII)
+        e1 = np.eye(problem.n, dtype=complex)[0]
+        one_point = [numeric_coherent_norm(problem, r * e1) for r in COHERENT_RADII]
+        assert logs == [float(np.log(norm)) for norm in one_point]
+
+    def test_norms_on_a_given_basis(self):
+        problem = diagonal_levi_problem(np.random.default_rng(12), 2)
+        points = [np.array([0.3, 1j]), np.array([-1.0, 0.5])]
+        got = coherent_norms(problem, points, nbasis=30)
+        assert got == [numeric_coherent_norm(problem, w, nbasis=30) for w in points]
 
     @staticmethod
     def explicit_coefficients(problem, w, nbasis, order):
