@@ -18,7 +18,7 @@ from bargtop import (
 from bargtop.bergman import bergman_exponent, growth_subverdict
 from bargtop.model import ModelInstance, classify_model, model_problem
 from bargtop.toeplitz import VerdictClass
-from bargtop.weyl import classify_symbol, weyl_symbol
+from bargtop.weyl import symbol_subverdict, weyl_symbol
 
 
 def walkthrough(lam, a):
@@ -43,9 +43,9 @@ def walkthrough(lam, a):
     print(f"certificate: {cert.classification} (margin {cert.margin:+.4f})")
 
     symbol = weyl_symbol(problem)
-    sym_cls = classify_symbol(symbol)
+    sym_verdict = symbol_subverdict(symbol).verdict
     print(f"Weyl route: exponent coefficient {symbol.g.qxbx[0, 0]:+.4f}, "
-          f"|prefactor| {symbol.prefactor_modulus:.4f} -> {sym_cls.label}")
+          f"|prefactor| {symbol.prefactor_modulus:.4f} -> {sym_verdict.value}")
 
     f = bergman_exponent(problem)
     res = growth_subverdict(f, problem.weight)

@@ -46,7 +46,7 @@ from .toeplitz import (
     VerdictClass,
     classify_operator,
 )
-from .weyl import WeylSymbol, classify_symbol, weyl_symbol
+from .weyl import WeylSymbol, symbol_subverdict, weyl_symbol
 from .bergman import (
     BergmanForm,
     CriticalSystem,

@@ -1,57 +1,45 @@
 """Brute-force numerical ground truth at n <= 2.
 
 Galerkin sections of the operator in the orthonormalized monomial basis,
-direct quadrature of the Weyl heat flow, and coherent-state norms.  None
-of it trusts the closed-form pipeline; agreement is the cross-check.
+the Weyl heat flow as a direct Gaussian convolution, and coherent-state
+norms.  None of it trusts the closed-form pipeline; agreement is the
+cross-check.
 
-Galerkin entries and coherent-state coefficients need no nodes.  Each
-integrates a polynomial against a Gaussian e^{-t.Gt} whose exponent G is
-complex symmetric with positive definite real part (for a coherent state,
-times the kernel e^{2 Psi(x, conj w)}, whose exponent completes the
-square).  So each is a Gaussian moment in x and conj(x), with mean and
-pseudo-covariance read off G^{-1}, and Stein's identity gives every moment
-exactly from its parent and the parent's n lower neighbours, normalized by
-the basis norms as it goes: entries stay near the size of the integrand,
-not |x|^d, and no oscillatory factor is summed.  One byte budget,
-``_TABLE_MAX_BYTES``, bounds a section's table with its basis, or a
-coherent state's basis with its moments, and a basis over it is refused
-before it is listed.  Coherent states at several points of one problem
-(``coherent_norms``) share everything but their mean: the checks, G,
-G^{-1}, the pseudo-covariance and the Gaussian prefactor are set up once,
-and the basis is listed once, at the largest size, since each smaller
-basis is a prefix of it in the degree-then-lex order.
+None of it needs quadrature nodes.  Galerkin entries and coherent-state
+coefficients integrate a polynomial against a Gaussian e^{-t.Gt} whose
+exponent G is complex symmetric with positive definite real part (for a
+coherent state, times the kernel e^{2 Psi(x, conj w)}, whose exponent
+completes the square).  So each is a Gaussian moment in x and conj(x),
+with mean and pseudo-covariance read off G^{-1}, and Stein's identity
+gives every moment exactly from its parent and the parent's n lower
+neighbours, normalized by the basis norms as it goes: entries stay near
+the size of the integrand, not |x|^d, and no oscillatory factor is summed.
+One byte budget, ``_TABLE_MAX_BYTES``, bounds a section's table with its
+basis, or a coherent state's basis with its moments, and a basis over it
+is refused before it is listed.  Coherent states at several points of one
+problem (``coherent_norms``) share everything but their mean: the checks,
+G, G^{-1}, the pseudo-covariance and the Gaussian prefactor are set up
+once, and the basis is listed once, at the largest size, since each
+smaller basis is a prefix of it in the degree-then-lex order.
 
-The Weyl convolution alone runs a quadrature rule, since its integrand is
-an exponential, not a polynomial.  It keeps its whole exponent, quadratic
-and linear, in the Gaussian, and scales tensor Gauss-Hermite nodes by
-G^{-1/2}: the nodes move onto a rotated contour, where a rule matched only
-to |e^{-t.Gt}| would leave an oscillatory factor to cancel.  After a
-further shift of the contour by the imaginary part of the linear term,
-each of its 2n factors is the integral of e^{-s^2 + alpha s} with real
-alpha, and its order is derived from the Gauss-Hermite remainder for
-e^{alpha s}.  The tensor rule for that product is the product of the 1d
-sums.  Nodes come from ``scipy.special.roots_hermite`` (Golub-Welsch with
-a Newton step, an asymptotic expansion from order 150); the logarithms of
-the weights come from a recurrence instead, since the orders reach
-thousands, where the far weights underflow.  Convolutions at several
-points of one problem (``weyl_convolutions``) share the checks, G, G^{-1/2}
-and the x-free part of the prefactor, and ``hermite_log_rules`` runs the
-weight recurrences of several orders in one pass, each rule's bits those
-of its own recurrence.
+The Weyl convolution integrates e^{-t.Gt + l.t} alone, with no polynomial,
+so the completed square is the whole integral: pi^n det(G)^{-1/2}
+e^{l.G^{-1}l/4}.  Every det(G)^{-1/2} here takes the principal root of
+each eigenvalue (``_log_rsqrt_det``).  Convolutions at several points of
+one problem (``weyl_convolutions``) share the checks, G, G^{-1} and the
+x-free part of the logarithm.
 
 Near the float maximum or minimum a problem can be admissible while G,
-a pseudo-covariance, det(H), a basis size or a Weyl prefactor leaves the
+a pseudo-covariance, det(H), a basis size or a Weyl value leaves the
 double range; each is checked where it is first formed and raises
 ``NumericalFailure``, with no warning on the way.
 
-SciPy serves only the Weyl convolution and is imported inside the
-functions that call it, so importing the package, ``classify``, ``scan``
-and the ``trend``, ``decay`` and ``coherent`` experiments do not load it.
+The oracle imports no SciPy: importing the package and every oracle
+experiment leave it unloaded.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -72,10 +60,7 @@ __all__ = [
     "is_plateau",
     "DecayEstimate",
     "singular_decay",
-    "WeylConvolution",
-    "hermite_log_rules",
     "weyl_convolutions",
-    "weyl_convolution",
     "numeric_weyl",
     "coherent_norms",
     "numeric_coherent_norm",
@@ -279,19 +264,15 @@ def _pseudo_covariances(ginv: np.ndarray):
     return sigma[:n, :n], sigma[:n, n:], sigma[n:, n:]
 
 
-def _log_gaussian_prefactor(g: np.ndarray, hdiag) -> complex:
-    """log(prod_i 2h_i det(G)^{-1/2}), pi^n det(G)^{-1/2} over ||1||^2;
-    det(G)^{-1/2} takes each eigenvalue's principal root, since Re G > 0
+def _log_rsqrt_det(g: np.ndarray) -> complex:
+    """log det(G)^{-1/2}, taking each eigenvalue's principal root: Re G > 0
     puts every eigenvalue in the right half-plane."""
-    return np.sum(np.log(2.0 * hdiag)) - 0.5 * np.sum(np.log(np.linalg.eigvals(g)))
+    return -0.5 * np.sum(np.log(np.linalg.eigvals(g)))
 
 
-def _substitution(gmat: np.ndarray):
-    """M = G^{-1/2} and det(M): t = M s turns e^{-t.Gt} into e^{-s.s}."""
-    import scipy.linalg
-
-    sqrtg = scipy.linalg.sqrtm(gmat.astype(complex))
-    return np.linalg.inv(sqrtg), complex(1.0 / np.linalg.det(sqrtg))
+def _log_gaussian_prefactor(g: np.ndarray, hdiag) -> complex:
+    """log(prod_i 2h_i det(G)^{-1/2}), pi^n det(G)^{-1/2} over ||1||^2."""
+    return np.sum(np.log(2.0 * hdiag)) + _log_rsqrt_det(g)
 
 
 # ---------------------------------------------------------------------------
@@ -404,122 +385,27 @@ def singular_decay(problem: ToeplitzProblem, size: int) -> DecayEstimate:
 # ---------------------------------------------------------------------------
 # Weyl heat flow by direct convolution
 
-#: target of each factor's Gauss-Hermite remainder, relative to the factor
-_WEYL_RULE_TOL = 1e-15
-#: the weight recurrence costs O(order^2): order 5000, which |alpha| of
-#: about 120 asks for, and its doubling take about 1 s together (one core
-#: of a shared 2-core x86 machine)
-_WEYL_MAX_ORDER = 5000
-
-
-def _hermite_order(alpha: float) -> int:
-    """Least Gauss-Hermite order N whose remainder for e^{alpha s} is at
-    most ``_WEYL_RULE_TOL`` relative to the exact integral sqrt(pi) e^{alpha^2/4}.
-
-    The remainder is alpha^{2N} N! / (2^N (2N)!) to leading order; each
-    order multiplies it by alpha^2 / (4 (2N + 1)).
-    """
-    if alpha == 0.0:
-        return 1
-    order, log_rem = 1, 2.0 * math.log(abs(alpha)) - math.log(4.0)
-    while log_rem > math.log(_WEYL_RULE_TOL):
-        log_rem += 2.0 * math.log(abs(alpha)) - math.log(4.0 * (2 * order + 1))
-        order += 1
-        if order > _WEYL_MAX_ORDER:
-            raise NumericalFailure(
-                f"Weyl convolution needs a Gauss-Hermite order above {_WEYL_MAX_ORDER} "
-                f"(|alpha| = {abs(alpha):.3e})"
-            )
-    return order
-
-
-def hermite_log_rules(orders) -> dict:
-    """{order: (nodes, log-weights)} of the Gauss-Hermite rules of
-    ``orders``, their weight recurrences run in one pass.
-
-    From order ~400 the weights of the far nodes underflow to 0, yet a
-    large alpha puts the integrand's peak there.  Written as
-    1 / (N p(s)^2), with p the orthonormal Hermite polynomial of degree
-    N - 1, their logarithms do not: p runs through its three-term
-    recurrence, rescaled whenever it exceeds 1.  The nodes of every
-    distinct order, smallest first, run through it together; a rule is
-    read off and its nodes dropped once p reaches its degree, so each rule
-    takes the arithmetic, and the bits, of its own recurrence, and a call
-    takes as many steps as its largest order.
-    """
-    from scipy.special import roots_hermite
-
-    orders = sorted(set(orders))
-    s = np.concatenate([roots_hermite(order)[0] for order in orders])
-    p_prev, p, log_p = np.zeros_like(s), np.full_like(s, math.pi ** -0.25), np.zeros_like(s)
-    rules, degree = {}, 0
-    for order in orders:
-        for k in range(degree + 1, order):
-            p_prev, p = p, math.sqrt(2.0 / k) * s * p - math.sqrt((k - 1) / k) * p_prev
-            scale = np.maximum(np.abs(p), 1.0)
-            p_prev, p, log_p = p_prev / scale, p / scale, log_p + np.log(scale)
-        degree = order - 1
-        log_w = -math.log(order) - 2.0 * (np.log(np.abs(p[:order])) + log_p[:order])
-        rules[order] = (s[:order], log_w)
-        s, p_prev, p, log_p = s[order:], p_prev[order:], p[order:], log_p[order:]
-    return rules
-
-
-def _hermite_log_rule(order: int):
-    """Gauss-Hermite nodes and the logarithms of their weights, the
-    one-order case of :func:`hermite_log_rules`."""
-    return hermite_log_rules((order,))[order]
-
-
-@dataclass
-class WeylConvolution:
-    """The Weyl convolution at one graph point: a prefactor times the 2n
-    one-dimensional integrals of e^{-s^2 + alpha_j s}."""
-
-    log_prefactor: complex
-    alpha: np.ndarray
-
-    @property
-    def order(self) -> int:
-        """The derived Gauss-Hermite order, set by the largest |alpha_j|."""
-        return _hermite_order(float(np.max(np.abs(self.alpha))))
-
-    def value(self, order: int | None = None) -> complex:
-        """The tensor Gauss-Hermite rule of the derived order, or of ``order``."""
-        return self.rule_value(*_hermite_log_rule(self.order if order is None else order))
-
-    def rule_value(self, s: np.ndarray, log_w: np.ndarray) -> complex:
-        """The tensor rule on the 1d nodes ``s`` with log-weights ``log_w``,
-        evaluated as the product of its one-dimensional sums."""
-        a = self.alpha[:, None]
-        # taken relative to e^{alpha^2/4}, no term overflows
-        sums = np.exp(log_w + a * s - a * a / 4.0).sum(axis=1)
-        log_total = self.log_prefactor + np.sum(np.log(sums) + self.alpha ** 2 / 4.0)
-        return complex(np.exp(log_total))
-
-
 def weyl_convolutions(problem: ToeplitzProblem, points) -> list:
     """The heat-flow convolution of e^q at the graph point over each x of
-    ``points``, reduced to one-dimensional Gaussian integrals.
+    ``points``, integrated in closed form.
 
     The heat kernel of H^{-1}/4 is the density (4/pi)^n det(H) e^{-4 wbar.Hw}
     on C^n, so in block coordinates t of w the integrand is
     exp(-t.Gt + l.t + q(x)) with G = 4 Hr - F, Hr the block realification
     of H, F the matrix of q and l = -2 F X the linear term of q(x - w).
-    Re G > 0 is absolute convergence.  t = M s with M = G^{-1/2} makes the
-    exponent -s.s + b.s with b = M l, and the contour shift s -> s + i Im(b)/2
-    leaves the real linear term alpha = Re b: on the shifted contour the
-    integrand is positive, so the rule sums without cancellation.
+    Re G > 0 is absolute convergence, and completing the square gives
 
-    The checks, G, M, det(M) and the x-free part of the log prefactor are
-    the problem's and are set up once; only b and the rest of the
-    prefactor are taken at each point.
+        4^n det(H) det(G)^{-1/2} exp(q(x) + l.G^{-1}l / 4).
+
+    The checks, G, G^{-1} and the x-free part of the logarithm are the
+    problem's and are set up once; only l and the exponent are taken at
+    each point.
     """
     problem.require_admissible()
     _require_small(problem)
     n, q, h = problem.n, problem.q, problem.weight.h
     fmat = _block_order(form_matrix(q.qxx, q.qxbx, q.qxbxb))
-    # far from unit scale G, det(H) and the terms of each point leave the
+    # far from unit scale G, det(H) and the value at a point leave the
     # double range; each is checked instead of warned about
     with np.errstate(all="ignore"):
         gmat = 4.0 * np.block([[h.real, -h.imag], [h.imag, h.real]]) - fmat
@@ -528,38 +414,29 @@ def weyl_convolutions(problem: ToeplitzProblem, points) -> list:
             raise NotAbsolutelyConvergent(
                 "shifted exponent of the convolution is not negative definite"
             )
-        minv, detm = _substitution(gmat)
         det_h = float(np.linalg.det(h).real)
         if not 0.0 < det_h < math.inf:
             raise NumericalFailure(f"det(H) = {det_h!r} leaves the double range")
-        log_base = n * math.log(4.0 / math.pi) + math.log(det_h) + np.log(detm)
-        convs = []
+        ginv = np.linalg.inv(gmat)
+        log_base = n * math.log(4.0) + math.log(det_h) + _log_rsqrt_det(gmat)
+        values = []
         for x in points:
             x = np.atleast_1d(np.asarray(x, dtype=complex))
             xt = np.concatenate((x.real, x.imag))
-            b = minv.T @ (-2.0 * fmat @ xt)
-            alpha, beta = b.real, b.imag
-            log_prefactor = complex(
-                log_base + xt @ fmat @ xt + np.sum(0.5j * alpha * beta - 0.25 * beta ** 2)
-            )
-            if not (np.isfinite(b).all() and cmath.isfinite(log_prefactor)):
+            lin = -2.0 * fmat @ xt
+            value = np.exp(log_base + xt @ fmat @ xt + lin @ ginv @ lin / 4.0)
+            if not np.isfinite(np.abs(value)):
                 raise NumericalFailure(
                     f"the Weyl convolution at |x| = {np.linalg.norm(x):.3e} leaves the double range"
                 )
-            convs.append(WeylConvolution(log_prefactor, alpha))
-    return convs
+            values.append(complex(value))
+    return values
 
 
-def weyl_convolution(problem: ToeplitzProblem, x) -> WeylConvolution:
-    """The Weyl convolution at the graph point over x: the one-point case
-    of :func:`weyl_convolutions`."""
+def numeric_weyl(problem: ToeplitzProblem, x) -> complex:
+    """Weyl symbol at the graph point over x by Gaussian convolution: the
+    one-point case of :func:`weyl_convolutions`."""
     return weyl_convolutions(problem, (x,))[0]
-
-
-def numeric_weyl(problem: ToeplitzProblem, x, order: int | None = None) -> complex:
-    """Weyl symbol at the graph point over x by Gaussian convolution, with
-    the derived Gauss-Hermite order unless ``order`` is given."""
-    return weyl_convolution(problem, x).value(order)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,7 @@ from .forms import (
 )
 from .toeplitz import DEFINITENESS_VERDICT, SubVerdict, ToeplitzProblem, _symbol_to_file
 
-__all__ = [
-    "WeylSymbol", "SymbolClassification", "weyl_symbol", "normal_symbol", "classify_symbol",
-    "symbol_subverdict",
-]
+__all__ = ["WeylSymbol", "weyl_symbol", "normal_symbol", "symbol_subverdict"]
 
 
 @dataclass
@@ -85,35 +82,13 @@ def normal_symbol(q: ComplexQuadraticForm) -> WeylSymbol:
     return WeylSymbol(log_c, g)
 
 
-@dataclass
-class SymbolClassification:
-    """Sign class of Re g as a real quadratic form.
-
-    ``label`` is "vanishing_at_infinity" (Re g negative definite),
-    "bounded_not_vanishing" (negative semidefinite) or "unbounded".
-    ``margin`` is -max eigenvalue of Re g, positive on the vanishing side.
-    """
-
-    label: str
-    margin: float
-    scale: float
-
-
-def classify_symbol(symbol: WeylSymbol, tol=None) -> SymbolClassification:
+def symbol_subverdict(symbol: WeylSymbol, tol=None) -> SubVerdict:
     """Classify the symbol by the sign of its real exponent.
 
-    -Re g is classified as a real quadratic form; its smallest eigenvalue
-    (-max eigenvalue of Re g) is the margin, positive on the vanishing side.
+    -Re g is classified as a real quadratic form: negative definite Re g
+    (the symbol vanishes at infinity) is compactness, negative semidefinite
+    is boundedness without it, indefinite is unboundedness.  The margin is
+    the smallest eigenvalue of -Re g, positive on the vanishing side.
     """
-    label, margin, scale = classify_real_form(-real_part_matrix(symbol.g), tol)
-    name = {
-        "definite": "vanishing_at_infinity",
-        "semidefinite": "bounded_not_vanishing",
-        "indefinite": "unbounded",
-    }[label]
-    return SymbolClassification(name, margin, scale)
-
-
-def symbol_subverdict(symbol: WeylSymbol, tol=None) -> SubVerdict:
     label, margin, scale = classify_real_form(-real_part_matrix(symbol.g), tol)
     return SubVerdict("weyl", DEFINITENESS_VERDICT[label], margin, scale)

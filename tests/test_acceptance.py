@@ -35,7 +35,7 @@ from bargtop.verify import (
     random_admissible_problem,
     random_weight,
 )
-from bargtop.weyl import classify_symbol, weyl_symbol
+from bargtop.weyl import symbol_subverdict, weyl_symbol
 
 
 def report(num, name, ok, detail):
@@ -104,9 +104,9 @@ def test_criterion_3_mehler_cross_check():
         symbol = weyl_symbol(problem)
         worst = max(worst, abs(symbol.g.qxbx[0, 0] - lam / (1 - lam)))
         gamma = 1 / (1 - 2 * lam)
-        label = classify_symbol(symbol).label
-        want = "vanishing_at_infinity" if abs(gamma) < 1 else "unbounded"
-        assert label == want, f"lam={lam}: {label} but |gamma|={abs(gamma)}"
+        verdict = symbol_subverdict(symbol).verdict
+        want = VerdictClass.COMPACT if abs(gamma) < 1 else VerdictClass.UNBOUNDED
+        assert verdict is want, f"lam={lam}: {verdict.value} but |gamma|={abs(gamma)}"
         assert (abs(2 * lam - 1) >= 1) == ((lam / (1 - lam)).real <= 0)
     ok = worst < 1e-12
     report(3, "Mehler cross-check", ok, f"max coefficient error {worst:.2e} over 20 draws")

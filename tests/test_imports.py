@@ -1,10 +1,9 @@
 """The import graph of a fresh process.
 
-SciPy serves only the Weyl convolution and one verify suite, the process
-pool only ``scan --workers N`` with N > 1, and PyYAML only problem files
-that are not in canonical form; ``classify`` of a canonical file, a
-serial ``scan`` and the ``trend``, ``decay`` and ``coherent`` oracle
-experiments load none of them.  Each test starts its own interpreter,
+SciPy serves only ``verify``'s random draws, the process pool only
+``scan --workers N`` with N > 1, and PyYAML only problem files that are
+not in canonical form; ``classify`` of a canonical file, a serial
+``scan`` and every oracle experiment load none of them.  Each test starts its own interpreter,
 since the test process itself has long since imported all three.
 """
 
@@ -53,31 +52,15 @@ def test_classify_and_scan_leave_scipy_and_the_pool_unloaded(tmp_path, argv):
     assert result == {"rc": 0, "loaded": []}
 
 
-def test_oracle_loads_scipy_where_it_is_called(tmp_path):
-    # the Weyl convolution's Gauss-Hermite nodes and sqrtm
-    path = tmp_path / "p.yaml"
-    path.write_text("n: 1\nphi0:\n  hermitian: [[[0.25, 0.0]]]\nq:\n  xbarx: [[[-0.5, 0.0]]]\n")
-    result = run_main(["oracle", str(path), "--experiment", "weyl"])
-    assert result["rc"] == 0 and result["loaded"] == ["scipy"]
-
-
-@pytest.mark.parametrize("experiment", ["trend", "decay"])
-def test_galerkin_oracle_leaves_scipy_unloaded(tmp_path, experiment):
-    # Galerkin sections are a moment recurrence on NumPy's inverse and
-    # eigenvalues, on a general problem: no nodes, no sqrtm, no gammaln
+@pytest.mark.parametrize("experiment", ["trend", "decay", "weyl", "coherent"])
+def test_oracle_leaves_scipy_unloaded(tmp_path, experiment):
+    # Galerkin sections and coherent norms are moment recurrences and the
+    # Weyl convolution a completed square, all on NumPy's inverse and
+    # eigenvalues: no nodes, no sqrtm, no gammaln
     path = tmp_path / "p.yaml"
     path.write_text("n: 1\nphi0:\n  hermitian: [[[0.25, 0.0]]]\nq:\n"
                     "  xx: [[[0.05, 0.1]]]\n  xbarx: [[[-0.3, 0.4]]]\n  xbarxbar: [[[0.02, -0.1]]]\n")
     result = run_main(["oracle", str(path), "--experiment", experiment])
-    assert result == {"rc": 0, "loaded": []}
-
-
-def test_coherent_oracle_leaves_scipy_unloaded(tmp_path):
-    # coherent norms are a moment recurrence on NumPy's inverse and
-    # eigenvalues: no Gauss-Hermite nodes, no sqrtm, no gammaln
-    path = tmp_path / "p.yaml"
-    path.write_text("n: 1\nphi0:\n  hermitian: [[[0.25, 0.0]]]\nq:\n  xbarx: [[[-0.5, 0.1]]]\n")
-    result = run_main(["oracle", str(path), "--experiment", "coherent"])
     assert result == {"rc": 0, "loaded": []}
 
 

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from bargtop.errors import ResolventSingular
-from bargtop.forms import ComplexQuadraticForm, Weight
+from bargtop.forms import ComplexQuadraticForm, Weight, classify_real_form, real_part_matrix
 from bargtop.model import ModelInstance, model_problem
 from bargtop.oracle import numeric_weyl
-from bargtop.toeplitz import ToeplitzProblem, VerdictClass, classify_operator
+from bargtop.toeplitz import DEFINITENESS_VERDICT, ToeplitzProblem, VerdictClass, classify_operator
 from bargtop.verify import random_admissible_lambda, random_admissible_problem
-from bargtop.weyl import classify_symbol, symbol_subverdict, weyl_symbol
+from bargtop.weyl import symbol_subverdict, weyl_symbol
 
 
 def scalar_problem(lam):
@@ -21,7 +21,7 @@ class TestWeylSymbol:
         assert np.max(np.abs(ws.g.qxx)) == 0
         assert np.max(np.abs(ws.g.qxbx)) == 0
         assert np.max(np.abs(ws.g.qxbxb)) == 0
-        assert classify_symbol(ws).label == "bounded_not_vanishing"
+        assert symbol_subverdict(ws).verdict is VerdictClass.BOUNDED_NOT_COMPACT
 
     def test_scalar_heat_flow_identity(self):
         # exp(d_x d_xbar) e^{lam x xbar} = (1-lam)^{-1} e^{lam x xbar/(1-lam)}
@@ -39,12 +39,12 @@ class TestWeylSymbol:
         assert ws.prefactor_modulus == pytest.approx(2.0 / 3.0, abs=1e-14)
         x = np.array([1.0 + 0j])
         assert ws.evaluate(x) == pytest.approx((2 / 3) * np.exp(-1 / 3), abs=1e-14)
-        assert classify_symbol(ws).label == "vanishing_at_infinity"
+        assert symbol_subverdict(ws).verdict is VerdictClass.COMPACT
 
     def test_growing_example(self):
         ws = weyl_symbol(scalar_problem(0.2))
         assert ws.g.qxbx[0, 0] == pytest.approx(0.25, abs=1e-14)
-        assert classify_symbol(ws).label == "unbounded"
+        assert symbol_subverdict(ws).verdict is VerdictClass.UNBOUNDED
 
     def test_resolvent_singular_reported(self):
         # lam = 4h = 1 makes the scalar resolvent vanish; inadmissible as an
@@ -65,21 +65,22 @@ class TestEquivalences:
         rng = np.random.default_rng(1)
         for _ in range(40):
             lam = random_admissible_lambda(rng)
-            label = classify_symbol(weyl_symbol(scalar_problem(lam))).label
+            verdict = symbol_subverdict(weyl_symbol(scalar_problem(lam))).verdict
             gamma = 1 / (1 - 2 * lam)
-            want = "vanishing_at_infinity" if abs(gamma) < 1 else "unbounded"
-            assert label == want
+            assert verdict is (VerdictClass.COMPACT if abs(gamma) < 1 else VerdictClass.UNBOUNDED)
 
     @pytest.mark.parametrize("lam", [-0.5, 0.0, 0.2])
     def test_subverdict_reads_the_same_label(self, lam):
+        # the sub-verdict reads the sign class of -Re g, margin and scale
+        # included; Re g = Re(lam / (1 - lam)) |x|^2 on the scalar family
         symbol = weyl_symbol(scalar_problem(lam))
-        cls, sub = classify_symbol(symbol), symbol_subverdict(symbol)
-        assert (cls.margin, cls.scale) == (sub.margin, sub.scale)
-        assert sub.verdict is {
-            "vanishing_at_infinity": VerdictClass.COMPACT,
-            "bounded_not_vanishing": VerdictClass.BOUNDED_NOT_COMPACT,
-            "unbounded": VerdictClass.UNBOUNDED,
-        }[cls.label]
+        label, margin, scale = classify_real_form(-real_part_matrix(symbol.g))
+        sub = symbol_subverdict(symbol)
+        assert (sub.method, sub.margin, sub.scale) == ("weyl", margin, scale)
+        assert sub.verdict is DEFINITENESS_VERDICT[label]
+        coeff = (lam / (1 - lam)).real
+        assert sub.verdict is (VerdictClass.COMPACT if coeff < 0 else VerdictClass.UNBOUNDED
+                               if coeff > 0 else VerdictClass.BOUNDED_NOT_COMPACT)
 
     def test_arithmetic_equivalence(self):
         # |2 lam - 1| >= 1  <=>  Re(lam/(1-lam)) <= 0
