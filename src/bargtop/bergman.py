@@ -26,6 +26,7 @@ from .forms import (
     ComplexQuadraticForm,
     Weight,
     _model_weight,
+    _record,
     classification_tolerance,
     classify_real_form,
     interleave,
@@ -160,7 +161,12 @@ def normal_exponent(q: ComplexQuadraticForm) -> BergmanForm:
     """
     n = q.n
     h = _model_weight(n).h
-    inv, _ = _checked_inverse(_system_matrix(h, q))
+    inv, margins = _checked_inverse(_system_matrix(h, q))
+    # fxz = inv[n:, n:] / 8 exactly: BergmanForm's margin is the b22 margin
+    if margins["b22"] <= 1e-10:
+        raise SingularSystem(
+            f"mixed block of the coherent exponent is singular (margin {margins['b22']:.3e})"
+        )
     sol = 0.5 * inv  # (y; theta) as functions of (x, z)
     yx, yz = sol[:n, :n], sol[:n, n:]
     tx, tz = sol[n:, :n], sol[n:, n:]
@@ -173,7 +179,7 @@ def normal_exponent(q: ComplexQuadraticForm) -> BergmanForm:
     residual = float(np.abs(fxz - fxz_alt).max() / scale)
     fxx = (fxx + fxx.T) / 2.0
     fzz = (fzz + fzz.T) / 2.0
-    return BergmanForm(fxx, fxz, fzz, route_residual=residual)
+    return _record(BergmanForm, fxx=fxx, fxz=fxz, fzz=fzz, route_residual=residual)
 
 
 def coherent_overlap(weight: Weight, w, z) -> complex:

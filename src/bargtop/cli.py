@@ -20,10 +20,10 @@ import time
 import numpy as np
 
 from .errors import InadmissibleProblem, NumericalFailure, OracleRefusal, ProblemFileError
-from .forms import classification_tolerance
+from .forms import ComplexQuadraticForm, _model_weight, _record, classification_tolerance
 from .io import json_text, load_problem
-from .toeplitz import Verdict, VerdictClass, classify_operator
-from . import model, oracle, verify
+from .toeplitz import ToeplitzProblem, Verdict, VerdictClass, classify_operator
+from . import oracle, verify
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILURE = 1
@@ -122,10 +122,15 @@ def _check_workers(workers: int) -> None:
 
 def _scan_point(point):
     re_lam, im_lam, norm_a = (float(v) for v in point)
-    inst = model.ModelInstance(1, complex(re_lam, im_lam), np.array([[norm_a]]))
+    # the model problem is its own normal form, q' = (0, lam, 2 ||A||) on
+    # |x|^2/4, built from 1 x 1 blocks: _grid_value checked every value,
+    # 2 ||A|| included, so the form's own checks would find nothing
+    q = _record(ComplexQuadraticForm, qxx=np.zeros((1, 1), dtype=complex),
+                qxbx=complex(re_lam, im_lam) * np.eye(1),
+                qxbxb=np.array([[complex(2.0 * norm_a)]]))
     # the pipeline's check keeps a tolerance band that the closed-form
     # condition Re lam + ||A|| < 1/4 does not, so it decides admissibility
-    verdict = classify_operator(model.model_problem(inst))
+    verdict = classify_operator(ToeplitzProblem(_model_weight(1), q))
     if verdict.verdict is VerdictClass.INADMISSIBLE:
         return (re_lam, im_lam, norm_a, "inadmissible", math.nan)
     # unlike DisagreementError, this counts a confident bounded_not_compact certificate

@@ -5,34 +5,24 @@ the Weyl heat flow as a direct Gaussian convolution, and coherent-state
 norms.  None of it trusts the closed-form pipeline; agreement is the
 cross-check.
 
-None of it needs quadrature nodes.  Galerkin entries and coherent-state
-coefficients integrate a polynomial against a Gaussian e^{-t.Gt} whose
-exponent G is complex symmetric with positive definite real part (for a
-coherent state, times the kernel e^{2 Psi(x, conj w)}, whose exponent
-completes the square).  So each is a Gaussian moment in x and conj(x),
-with mean and pseudo-covariance read off G^{-1}, and Stein's identity
-gives every moment exactly from its parent and the parent's n lower
-neighbours, normalized by the basis norms as it goes: entries stay near
-the size of the integrand, not |x|^d, and no oscillatory factor is summed.
-One byte budget, ``_TABLE_MAX_BYTES``, bounds a section's table with its
-basis, or a coherent state's basis with its moments, and a basis over it
-is refused before it is listed.  Coherent states at several points of one
-problem (``coherent_norms``) share everything but their mean: the checks,
-G, G^{-1}, the pseudo-covariance and the Gaussian prefactor are set up
-once, and the basis is listed once, at the largest size, since each
-smaller basis is a prefix of it in the degree-then-lex order.
+None of it needs quadrature nodes.  Each integral is a polynomial, or
+nothing, against e^{-t.Gt + l.t} with G complex symmetric and Re G > 0,
+and completing the square gives pi^{m/2} det(G)^{-1/2} e^{l.G^{-1}l/4}
+(``_GaussianIntegral``, with the range checks of G).  A Galerkin entry
+is that prefactor times a Gaussian moment in x and conj(x), and Stein's
+identity gives every moment exactly from its parent and the parent's n
+lower neighbours, normalized by the basis norms as it goes.  One byte
+budget, ``_TABLE_MAX_BYTES``, bounds a section and its basis, and a
+section over it is refused before its basis is listed.  The Weyl
+convolution is the ratio of two completed squares, the heat kernel's and
+its own; a coherent state's image is a Gaussian after one square in x,
+and its norm one more in z.  Several points of one problem
+(``weyl_convolutions``, ``coherent_norms``) share every matrix.
 
-The Weyl convolution integrates e^{-t.Gt + l.t} alone, with no polynomial,
-so the completed square is the whole integral: pi^n det(G)^{-1/2}
-e^{l.G^{-1}l/4}.  Every det(G)^{-1/2} here takes the principal root of
-each eigenvalue (``_log_rsqrt_det``).  Convolutions at several points of
-one problem (``weyl_convolutions``) share the checks, G, G^{-1} and the
-x-free part of the logarithm.
-
-Near the float maximum or minimum a problem can be admissible while G,
-a pseudo-covariance, det(H), a basis size or a Weyl value leaves the
-double range; each is checked where it is first formed and raises
-``NumericalFailure``, with no warning on the way.
+Near the float maximum or minimum a problem can be admissible while G, a
+pseudo-covariance or a value leaves the double range; each is checked
+where it is first formed and raises ``NumericalFailure``, with no warning
+on the way.  Determinants are taken only as logarithms.
 
 The oracle imports no SciPy: importing the package and every oracle
 experiment leave it unloaded.
@@ -94,17 +84,15 @@ def _require_small(problem: ToeplitzProblem) -> None:
         raise OracleRefusal("oracle supports n <= 2")
 
 
-#: memory budget of one oracle computation: a Galerkin section and its
-#: basis, or the basis and the moments of a coherent state
+#: memory budget of one oracle computation: a Galerkin section and its basis
 _TABLE_MAX_BYTES = 1 << 28
 
 
 def _basis_bytes(size: int) -> int:
-    """Bytes of a coherent state's moment recurrence on ``size`` monomials,
+    """Bytes of the moment recurrence's state on ``size`` monomials,
     bounded above: the index list while the basis is built, then its index
-    arrays and one complex moment per monomial, took 166-202 bytes per
-    monomial from 20000 to 88000 monomials at n = 1 and 2 (tracemalloc
-    peaks, CPython 3.11), so 256 are counted."""
+    arrays, took 168-202 bytes per monomial from 20000 to 88000 monomials
+    at n = 1 and 2 (tracemalloc peaks, CPython 3.11), so 256 are counted."""
     return 256 * size
 
 
@@ -166,22 +154,21 @@ def _degree_layer(n: int, deg: int):
 class _MomentRecurrence:
     """Normalized Gaussian moments over a basis of monomials.
 
-    For a Gaussian vector y with mean mu and pseudo-covariance C, Stein's
-    identity E[y_l F(y)] = mu_l E[F] + sum_i C_li E[d_i F] with F = y^p,
-    p = alpha - e_l and l the last positive exponent of alpha, gives each
-    moment from its parent and the parent's n lower neighbours.  On the
-    moments normalized by the basis norms, m_alpha = E[y^alpha] ||1|| /
-    ||x^alpha|| with ||x^alpha||^2 = prod_i pi alpha_i! / (2h_i)^{alpha_i + 1},
-    it reads
+    For a centred Gaussian vector y with pseudo-covariance C, Stein's
+    identity E[y_l F(y)] = sum_i C_li E[d_i F] with F = y^p, p = alpha - e_l
+    and l the last positive exponent of alpha, gives each moment from the
+    parent's n lower neighbours.  On the moments normalized by the basis
+    norms, m_alpha = E[y^alpha] ||1|| / ||x^alpha|| with
+    ||x^alpha||^2 = prod_i pi alpha_i! / (2h_i)^{alpha_i + 1}, it reads
 
-        m_alpha = sqrt(2h_l / alpha_l) (mu_l m_p + sum_i C_li sqrt(2h_i p_i) m_{p - e_i}),
+        m_alpha = sqrt(2h_l / alpha_l) sum_i C_li sqrt(2h_i p_i) m_{p - e_i},
 
     exact, with no nodes, and with entries near the size of the moments,
     not |y|^d.  For the basis of :func:`monomial_indices`, ``lower[i, j]``
     is the position of alpha_j - e_i (0 where alpha_j has no x_i) and
     ``raised[i, j]`` is sqrt(2h_i alpha_i), the normalized factor of
-    d_i x^alpha; they are NumPy arrays, not lists, so that a basis of 2^20
-    monomials stays within :func:`_basis_bytes`.
+    d_i x^alpha; they are NumPy arrays, not lists, so that the state of a
+    large basis stays within :func:`_basis_bytes`.
     """
 
     def __init__(self, indices, hdiag):
@@ -202,16 +189,14 @@ class _MomentRecurrence:
         # sqrt(2h_l / alpha_l); the constant's entry is never used
         self.step = sqrt_2h[self.last] / np.sqrt(np.maximum(a[self.last, cols], 1))
 
-    def steps(self, size: int):
+    def steps(self):
         """(j, p, l, sqrt(2h_l / alpha_l), lower, raised) for each
-        alpha = alpha_j after the constant among the first ``size``, with p
-        the position of its parent and ``lower``, ``raised`` the parent's
-        columns of those arrays, as Python numbers: they are converted 1024
-        monomials at a time, which keeps the per-monomial state in NumPy
-        arrays and the recurrences' loops on Python scalars.  The basis
-        order is prefix-closed, so a prefix runs the recurrence of the
-        smaller basis, bit for bit, with no copy of its arrays."""
-        block = 1 << 10
+        alpha = alpha_j after the constant, with p the position of its
+        parent and ``lower``, ``raised`` the parent's columns of those
+        arrays, as Python numbers: they are converted 1024 monomials at a
+        time, which keeps the per-monomial state in NumPy arrays and the
+        recurrence's loop on Python scalars."""
+        block, size = 1 << 10, self.parent.size
         for start in range(1, size, block):
             js = slice(start, min(start + block, size))
             ps = self.parent[js]
@@ -221,11 +206,40 @@ class _MomentRecurrence:
 
 
 # ---------------------------------------------------------------------------
-# the Gaussian exponent
+# the completed square
 
-def _gaussian_exponent_matrix(problem: ToeplitzProblem) -> np.ndarray:
-    """Complex symmetric matrix G with t.Gt = 2 Phi(x) - q(x) in block
-    coordinates.  For a weight without pluriharmonic part its real part is
+class _GaussianIntegral:
+    """log I(l) for I(l) = pi^{-m/2} int e^{-t.Gt + l.t} dt over R^m,
+
+        log I(l) = log det(G)^{-1/2} + l.G^{-1}l / 4,
+
+    the powers of pi cancelling in every value the oracle takes.  A G
+    with an entry past the double range fails with ``NumericalFailure``,
+    and one whose real part is not positive definite (not absolutely
+    integrable) with ``divergence``; ``what`` names the integrand."""
+
+    def __init__(self, g: np.ndarray, what: str, divergence=QuadratureDivergence):
+        _require_finite(g, what)
+        low = np.linalg.eigvalsh(np.real(g))[0]
+        if low <= 0.0:
+            raise divergence(f"{what} is not integrable (min Re eigenvalue {low:.3e})")
+        self.g = g
+        self.ginv = np.linalg.inv(g)
+        # the principal root of each eigenvalue, all in the right half-plane
+        self.log_base = -0.5 * np.sum(np.log(np.linalg.eigvals(g)))
+
+    def log(self, lin: np.ndarray) -> complex:
+        return self.log_base + lin @ self.ginv @ lin / 4.0
+
+
+def _realified(h: np.ndarray) -> np.ndarray:
+    """Hr with conj(x).Hx = t.Hr t in block coordinates, for Hermitian H."""
+    return np.block([[h.real, -h.imag], [h.imag, h.real]])
+
+
+def _gaussian_exponent(problem: ToeplitzProblem) -> _GaussianIntegral:
+    """The integral of e^{-t.Gt + l.t} with t.Gt = 2 Phi(x) - q(x) in block
+    coordinates.  For a weight without pluriharmonic part Re G is
     positive definite exactly when the problem is admissible; a
     pluriharmonic part can make it indefinite, which is refused."""
     weight, q = problem.weight, problem.q
@@ -234,13 +248,7 @@ def _gaussian_exponent_matrix(problem: ToeplitzProblem) -> np.ndarray:
         g = _block_order(form_matrix(
             2.0 * weight.p - q.qxx, 2.0 * weight.h - q.qxbx, 2.0 * np.conj(weight.p) - q.qxbxb
         ))
-    _require_finite(g, "the Gaussian exponent matrix")
-    re_eigs = np.linalg.eigvalsh(np.real(g))
-    if re_eigs[0] <= 0.0:
-        raise QuadratureDivergence(
-            f"Gaussian weight is not integrable (min Re eigenvalue {re_eigs[0]:.3e})"
-        )
-    return g
+    return _GaussianIntegral(g, "the Gaussian weight e^{-2 Phi + q}")
 
 
 @functools.cache
@@ -262,17 +270,6 @@ def _pseudo_covariances(ginv: np.ndarray):
         sigma = p @ ginv @ p.T / 2.0
     _require_finite(sigma, "the Gaussian's pseudo-covariance")
     return sigma[:n, :n], sigma[:n, n:], sigma[n:, n:]
-
-
-def _log_rsqrt_det(g: np.ndarray) -> complex:
-    """log det(G)^{-1/2}, taking each eigenvalue's principal root: Re G > 0
-    puts every eigenvalue in the right half-plane."""
-    return -0.5 * np.sum(np.log(np.linalg.eigvals(g)))
-
-
-def _log_gaussian_prefactor(g: np.ndarray, hdiag) -> complex:
-    """log(prod_i 2h_i det(G)^{-1/2}), pi^n det(G)^{-1/2} over ||1||^2."""
-    return np.sum(np.log(2.0 * hdiag)) + _log_rsqrt_det(g)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +303,8 @@ def truncated_matrix(problem: ToeplitzProblem, size: int) -> TruncatedOperator:
     _require_small(problem)
     hdiag = _require_oracle_weight(problem.weight)
     _require_bytes(_section_bytes(size), f"a Galerkin section of size {size}")
-    g = _gaussian_exponent_matrix(problem)
-    sxx, sxxb, sxbxb = _pseudo_covariances(np.linalg.inv(g))
+    gauss = _gaussian_exponent(problem)
+    sxx, sxxb, sxbxb = _pseudo_covariances(gauss.ginv)
     indices = monomial_indices(problem.n, size)
     rec = _MomentRecurrence(indices, hdiag)
     # Sigma^{x xbar}_li sqrt(2h_i beta_i) along a row; its transpose down a column
@@ -318,7 +315,7 @@ def truncated_matrix(problem: ToeplitzProblem, size: int) -> TruncatedOperator:
     # column k above the diagonal, then row k up to it
     passes = ((t.T, sxbxb.tolist(), along_col, 0), (t, sxx.tolist(), along_row, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, p, l, step, below, raised in rec.steps(size):
+        for k, p, l, step, below, raised in rec.steps():
             for mat, cov, mixed, diagonal in passes:
                 width = k + diagonal
                 acc = (mixed[l, :, :width] * mat[p][rec.lower[:, :width]]).sum(axis=0)
@@ -326,7 +323,8 @@ def truncated_matrix(problem: ToeplitzProblem, size: int) -> TruncatedOperator:
                     if r:
                         acc += c * r * mat[low, :width]
                 mat[k, :width] = step * acc
-        t *= np.exp(_log_gaussian_prefactor(g, hdiag))
+        # pi^n det(G)^{-1/2} over ||1||^2 = pi^n / prod_i 2h_i
+        t *= np.exp(np.sum(np.log(2.0 * hdiag)) + gauss.log_base)
         # one sum, not a mask of size^2: it is finite unless an entry is
         # infinite or not a number, or the entries are so large that their
         # sum overflows
@@ -389,42 +387,36 @@ def weyl_convolutions(problem: ToeplitzProblem, points) -> list:
     """The heat-flow convolution of e^q at the graph point over each x of
     ``points``, integrated in closed form.
 
-    The heat kernel of H^{-1}/4 is the density (4/pi)^n det(H) e^{-4 wbar.Hw}
+    The heat kernel of H^{-1}/4 is e^{-4 wbar.Hw} over its own integral
     on C^n, so in block coordinates t of w the integrand is
-    exp(-t.Gt + l.t + q(x)) with G = 4 Hr - F, Hr the block realification
-    of H, F the matrix of q and l = -2 F X the linear term of q(x - w).
-    Re G > 0 is absolute convergence, and completing the square gives
+    exp(-t.Gt + l.t + q(x)) over that integral, with G = 4 Hr - F, Hr the
+    block realification of H, F the matrix of q and l = -2 F X the linear
+    term of q(x - w).  Re G > 0 is absolute convergence, and the ratio of
+    the two completed squares is
 
-        4^n det(H) det(G)^{-1/2} exp(q(x) + l.G^{-1}l / 4).
+        4^n det(H) det(G)^{-1/2} exp(q(x) + l.G^{-1}l / 4),
 
-    The checks, G, G^{-1} and the x-free part of the logarithm are the
-    problem's and are set up once; only l and the exponent are taken at
-    each point.
+    with 4^n det(H) = det(4 Hr)^{1/2} taken as a logarithm, so a Levi form
+    as small as 1e-200 I needs no determinant in the double range.  The
+    checks, G, G^{-1} and both determinants are the problem's and are set
+    up once; only l and the exponent are taken at each point.
     """
     problem.require_admissible()
     _require_small(problem)
-    n, q, h = problem.n, problem.q, problem.weight.h
+    q = problem.q
     fmat = _block_order(form_matrix(q.qxx, q.qxbx, q.qxbxb))
-    # far from unit scale G, det(H) and the value at a point leave the
-    # double range; each is checked instead of warned about
+    # far from unit scale G and the value at a point leave the double
+    # range; each is checked instead of warned about
     with np.errstate(all="ignore"):
-        gmat = 4.0 * np.block([[h.real, -h.imag], [h.imag, h.real]]) - fmat
-        _require_finite(gmat, "the exponent of the Weyl convolution")
-        if np.linalg.eigvalsh(gmat.real)[0] <= 0.0:
-            raise NotAbsolutelyConvergent(
-                "shifted exponent of the convolution is not negative definite"
-            )
-        det_h = float(np.linalg.det(h).real)
-        if not 0.0 < det_h < math.inf:
-            raise NumericalFailure(f"det(H) = {det_h!r} leaves the double range")
-        ginv = np.linalg.inv(gmat)
-        log_base = n * math.log(4.0) + math.log(det_h) + _log_rsqrt_det(gmat)
+        heat = 4.0 * _realified(problem.weight.h)
+        conv = _GaussianIntegral(heat - fmat, "the Weyl convolution's integrand",
+                                 NotAbsolutelyConvergent)
+        log_heat = _GaussianIntegral(heat, "the heat kernel").log_base
         values = []
         for x in points:
             x = np.atleast_1d(np.asarray(x, dtype=complex))
             xt = np.concatenate((x.real, x.imag))
-            lin = -2.0 * fmat @ xt
-            value = np.exp(log_base + xt @ fmat @ xt + lin @ ginv @ lin / 4.0)
+            value = np.exp(conv.log(-2.0 * fmat @ xt) - log_heat + xt @ fmat @ xt)
             if not np.isfinite(np.abs(value)):
                 raise NumericalFailure(
                     f"the Weyl convolution at |x| = {np.linalg.norm(x):.3e} leaves the double range"
@@ -442,95 +434,71 @@ def numeric_weyl(problem: ToeplitzProblem, x) -> complex:
 # ---------------------------------------------------------------------------
 # coherent-state norms
 
-def _coherent_basis_size(problem: ToeplitzProblem, w) -> int:
-    """The default basis at w, 40 + 6 Phi(w) monomials: the coherent
-    state's mass sits near degree 2 Phi(w)."""
-    six_phi = 6.0 * problem.weight.value(w)
-    if not math.isfinite(six_phi):
-        raise NumericalFailure(
-            f"the coherent-state basis at |w| = {np.linalg.norm(w):.3e} has {six_phi!r} "
-            "monomials, past the double range"
-        )
-    return 40 + int(six_phi)
+def _coherent_images(problem: ToeplitzProblem, points):
+    """(M, images): the operator's image of the normalized coherent state
+    at each w of ``points`` is T k_w(z) = exp(z.Mz + z.c + d), and
+    ``images`` lists (w, c, d) in turn.
 
+    With k_w = e^{2 Psi(x, conj w) - Phi(w)} / ||1|| and the Bergman kernel
+    e^{2 Psi(z, conj x)} / ||1||^2, in block coordinates t of x
 
-def _coherent_states(problem: ToeplitzProblem, points, nbasis: int | None = None):
-    """(w, basis size, coefficients) for each w of ``points``, in turn: the
-    basis coefficients <e^q k_w, e_j> for the normalized coherent state
-    k_w, on ``nbasis`` monomials or on the default basis at w; their square
-    sum is the squared norm of the operator image.
+        T k_w(z) = e^{-Phi(w)} / ||1||^3 int e^{-t.Gt + (l + A z).t} dt,
 
-    In block coordinates t the coefficient of x^alpha integrates
-    conj(x)^alpha e^{-t.Gt + l.t}, where l.t = 2 conj(w).H x is the
-    exponent of the kernel e^{2 Psi(x, conj w)}.  Completing the square
-    makes it pi^n det(G)^{-1/2} e^{l.G^{-1}l/4} times the Gaussian moment
-    E[y^alpha] of y = conj(x) = P t, continued analytically from the
-    Gaussian of mean G^{-1}l/2 and covariance G^{-1}/2: y has mean
-    mu = P G^{-1}l/2 and the pseudo-covariance of conj(x), and
-    :class:`_MomentRecurrence` gives the moments normalized by the basis
-    norms.
-
-    Only mu and e^{l.G^{-1}l/4} depend on w.  The checks, G, G^{-1}, the
-    pseudo-covariance and the rest of the prefactor are set up once, and
-    the basis and its recurrence are listed once, at the largest size;
-    each smaller basis runs the same recurrence over a prefix.  Every
-    size is held to ``_TABLE_MAX_BYTES`` before the basis is listed."""
+    l.t = 2 conj(w).Hx and (Az).t = 2 conj(x).Hz, so completing the square
+    gives M = A^T G^{-1} A / 4, the same at every w, c = A^T G^{-1} l / 2
+    and d from det(G)^{-1/2} e^{l.G^{-1}l/4}; only l, c and d are taken at
+    each point."""
     problem.require_admissible()
     _require_small(problem)
     hdiag = _require_oracle_weight(problem.weight)
-    n = problem.n
-    points = [np.atleast_1d(np.asarray(w, dtype=complex)) for w in points]
-    sizes = [_coherent_basis_size(problem, w) if nbasis is None else nbasis for w in points]
-    for size in sizes:
-        _require_bytes(_basis_bytes(size), f"a coherent-state basis of {size} monomials")
-    g = _gaussian_exponent_matrix(problem)
-    ginv = np.linalg.inv(g)
-    cov = _pseudo_covariances(ginv)[2].tolist()
-    # pi^n / ||1|| times the coherent-state normalization prod sqrt(2 h_i / pi)
-    # is prod 2 h_i, as in a Galerkin entry
-    log_gaussian = _log_gaussian_prefactor(g, hdiag)
-    rec = _MomentRecurrence(monomial_indices(n, max(sizes)), hdiag)
-    for w, size in zip(points, sizes):
-        hw = np.conj(w) @ problem.weight.h
-        lin = 2.0 * np.concatenate((hw, 1j * hw))
-        mean = ginv @ lin / 2.0
-        mu = (mean[:n] - 1j * mean[n:]).tolist()
-        m = [1.0 + 0.0j] * size
-        for j, p, l, step, below, raised in rec.steps(size):
-            acc = mu[l] * m[p]
-            for c, low, r in zip(cov[l], below, raised):
-                if r:
-                    acc += c * r * m[low]
-            m[j] = step * acc
-        log_pref = log_gaussian + lin @ mean / 2.0 - problem.weight.value(w)
-        yield w, size, np.array(m) * np.exp(log_pref)
+    n, weight = problem.n, problem.weight
+    gauss = _gaussian_exponent(problem)
+    px = _xxbar_rows(n)[:n]  # x = px t
+    with np.errstate(all="ignore"):
+        # pi^n, the x-integral's unit, over ||1||^3 = (pi^n / prod_i 2h_i)^{3/2}
+        log_const = 1.5 * np.sum(np.log(2.0 * hdiag)) - 0.5 * n * math.log(math.pi)
+        kernel = 2.0 * px.conj().T @ weight.h  # A
+        half = kernel.T @ gauss.ginv / 2.0
+        images = []
+        for w in points:
+            w = np.atleast_1d(np.asarray(w, dtype=complex))
+            lin = 2.0 * px.T @ (np.conj(w) @ weight.h)
+            images.append((w, half @ lin, gauss.log(lin) + log_const - weight.value(w)))
+        return half @ kernel / 2.0, images
 
 
-def _coherent_coefficients(problem: ToeplitzProblem, w, nbasis: int) -> np.ndarray:
-    """The coefficients of the coherent state at w on ``nbasis`` monomials."""
-    return next(_coherent_states(problem, (w,), nbasis))[2]
-
-
-def coherent_norms(problem: ToeplitzProblem, points, nbasis: int | None = None) -> list:
+def coherent_norms(problem: ToeplitzProblem, points) -> list:
     """Norms of the operator applied to the normalized coherent states at
-    each w of ``points``, via basis expansion of the projected image (no
-    stationary-phase constants involved), on ``nbasis`` monomials or on the
-    default basis 40 + 6 Phi(w).  A norm that is not a positive finite
-    number, as when the basis is far too small for |w| or a double
-    overflows, raises ``NumericalFailure``."""
+    each w of ``points``, in closed form: no basis and no stationary-phase
+    constants.  The square of T k_w(z) = exp(z.Mz + z.c + d)
+    (:func:`_coherent_images`) against e^{-2 Phi} is one more completed
+    square, in block coordinates s of z, with exponent matrix
+    R = 2 Hr - 2 Mr (Mr the real form of Re(z.Mz)) and L.s = 2 Re(z.c):
+
+        ||T k_w||^2 = e^{2 Re d} pi^n det(R)^{-1/2} e^{L.R^{-1}L/4}.
+
+    It is finite exactly when R is positive definite, which admissibility
+    implies and ``QuadratureDivergence`` checks; R is set up once.  A norm
+    that leaves the double range raises ``NumericalFailure``."""
+    m, images = _coherent_images(problem, points)
+    n = problem.n
+    px = _xxbar_rows(n)[:n]  # z = px s
     norms = []
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for w, size, coeffs in _coherent_states(problem, points, nbasis):
-            norm = float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
+    with np.errstate(all="ignore"):
+        mr = np.real(px.T @ m @ px)
+        square = _GaussianIntegral(2.0 * (_realified(problem.weight.h) - mr),
+                                   "the squared image of a coherent state")
+        for w, c, d in images:
+            log_sq = n * math.log(math.pi) + square.log(2.0 * np.real(c @ px))
+            norm = float(np.exp(d.real + 0.5 * log_sq.real))
             if not 0.0 < norm < math.inf:
                 raise NumericalFailure(
-                    f"coherent-state norm at |w| = {np.linalg.norm(w):.3e} on a basis of {size} "
-                    f"monomials is {norm!r}, not a positive finite number"
+                    f"the coherent-state norm at |w| = {np.linalg.norm(w):.3e} leaves the double range"
                 )
             norms.append(norm)
     return norms
 
 
-def numeric_coherent_norm(problem: ToeplitzProblem, w, nbasis: int | None = None) -> float:
+def numeric_coherent_norm(problem: ToeplitzProblem, w) -> float:
     """The one-point case of :func:`coherent_norms`."""
-    return coherent_norms(problem, (w,), nbasis)[0]
+    return coherent_norms(problem, (w,))[0]

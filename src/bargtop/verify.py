@@ -207,10 +207,10 @@ def coherent_slope(problem: ToeplitzProblem, radii) -> tuple:
     normalized coherent states at r e_1 for r in ``radii``, and the slope of
     their least-squares line in r^2.
 
-    The norms come from one :func:`oracle.coherent_norms` call: the
-    problem's Gaussian and the basis, at the largest radius' size, are set
-    up once, and each log-norm equals that of
-    ``oracle.numeric_coherent_norm`` at its radius bit for bit."""
+    The norms come from one :func:`oracle.coherent_norms` call, which
+    sets up the problem's two completed squares once, and each log-norm
+    equals that of ``oracle.numeric_coherent_norm`` at its radius bit for
+    bit."""
     e1 = np.eye(problem.n, dtype=complex)[0]
     norms = oracle.coherent_norms(problem, [r * e1 for r in radii])
     logs = [float(np.log(norm)) for norm in norms]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,13 +11,14 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 import bargtop.cli as cli
 from bargtop import io, model, oracle, verify
 from bargtop.cli import main
-from bargtop.errors import ProblemFileError
+from bargtop.errors import NumericalFailure, ProblemFileError
 from bargtop.io import load_problem
+from bargtop.toeplitz import VerdictClass, classify_operator
 
 
 DATA = Path(__file__).parent / "data"
@@ -38,6 +40,13 @@ def run_capped(*argv, cwd=None):
         filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", child, *argv],
                           env=env, cwd=cwd, capture_output=True, text=True, timeout=60)
+
+
+#: an n = 2 Levi form of 1e-200 I that classify, trend and coherent accept
+TINY_LEVI_N2 = (
+    "n: 2\nphi0:\n  hermitian: [[[1.0e-200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0e-200, 0.0]]]\n"
+    "q:\n  xbarx: [[[-1.0e-200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-2.0e-200, 0.0]]]\n"
+)
 
 
 def write_model_file(path, lam, a=0.0, extra=""):
@@ -417,8 +426,9 @@ class TestScanCommand:
                      "--norm-a", "0:0.2:3", "-o", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 4 * 2 * 3
 
-    def test_admissible_row_takes_two_svds_of_a(self, monkeypatch):
-        # one per ModelInstance: the row's own and the model witness's
+    def test_admissible_row_takes_one_svd_of_a(self, monkeypatch):
+        # the model witness's: the row builds q' at the normal form with no
+        # ModelInstance of its own
         svd, args, instances = np.linalg.svd, [], []
         post_init = model.ModelInstance.__post_init__
 
@@ -433,8 +443,44 @@ class TestScanCommand:
         monkeypatch.setattr(np.linalg, "svd", counting)
         monkeypatch.setattr(model.ModelInstance, "__post_init__", tracking)
         row = cli._scan_point((-0.5, 0.5, 0.1))
-        assert row[3] == "compact" and len(instances) == 2
-        assert sum(any(m is inst.a for inst in instances) for m in args) == 2
+        assert row[3] == "compact" and len(instances) == 1
+        assert sum(any(m is inst.a for inst in instances) for m in args) == 1
+
+    @staticmethod
+    def model_problem_row(point):
+        """The row built through ModelInstance and model_problem, as the
+        scan once did, or the failure it raised."""
+        re_lam, im_lam, norm_a = point
+        inst = model.ModelInstance(1, complex(re_lam, im_lam), np.array([[norm_a]]))
+        try:
+            verdict = classify_operator(model.model_problem(inst))
+        except NumericalFailure as exc:
+            return type(exc), str(exc)
+        if verdict.verdict is VerdictClass.INADMISSIBLE:
+            return (re_lam, im_lam, norm_a, "inadmissible", math.nan)
+        closed = verdict.witnesses["model"]
+        if (verdict.verdict is not closed.verdict and verdict.witnesses["certificate"].confident
+                and closed.confident):
+            return NumericalFailure, "mismatch"
+        return (re_lam, im_lam, norm_a, verdict.verdict.value, verdict.margin)
+
+    @settings(max_examples=150, deadline=None)
+    @given(re_lam=st.one_of(st.floats(-3.0, 1.0), st.floats(allow_nan=False, allow_infinity=False)),
+           im_lam=st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=False, allow_infinity=False)),
+           norm_a=st.one_of(st.floats(-1.0, 1.0), st.floats(-8.9e307, 8.9e307)))
+    @example(re_lam=-0.0, im_lam=-0.0, norm_a=-0.0)
+    @example(re_lam=0.0, im_lam=0.0, norm_a=0.0)
+    @example(re_lam=-0.001, im_lam=0.0, norm_a=0.001)
+    def test_row_is_the_model_problem_row(self, re_lam, im_lam, norm_a):
+        # q' built at the normal form is model_problem's q, so the row is the
+        # same, bit for bit, as is a failure
+        point = (re_lam, im_lam, norm_a)
+        want = self.model_problem_row(point)
+        try:
+            got = cli._scan_point(point)
+        except NumericalFailure as exc:
+            got = type(exc), "mismatch" if str(exc).startswith("pipeline=") else str(exc)
+        assert repr(got) == repr(want)
 
     def test_confident_certificate_model_conflict_fails(self, tmp_path, capsys, monkeypatch):
         # above a tolerance of 1e-8 the certificate can call lam = -0.001,
@@ -714,42 +760,40 @@ class TestOracleCommand:
         assert len(norms) == 1 and np.isfinite(norms[0])
 
     def test_coherent_norm_out_of_range_exits_three(self, tmp_path):
-        # Phi(e_1) = 200: the default basis, 1240 monomials at the first
-        # radius and 4840 at the second, is far too small for the state's mass
-        # near degree 2 Phi, and the second norm underflows to 0
+        # Phi(e_1) = 200 and |gamma| = 5/3: the log-norm grows by about 356
+        # per unit of |w|^2, and the norm at 2 e_1 passes the float maximum
         path = tmp_path / "p.yaml"
-        path.write_text("n: 2\nphi0:\n  hermitian: [[[200.0, 0], [0, 0]], [[0, 0], [200.0, 0]]]\n")
+        path.write_text("n: 1\nphi0:\n  hermitian: [[[200.0, 0.0]]]\nq:\n  xbarx: [[[160.0, 0.0]]]\n")
         proc = run_capped("oracle", str(path), "--experiment", "coherent")
         assert proc.returncode == 3, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith("numerical failure:") and proc.stderr.count("\n") == 1
-        assert "4840 monomials" in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert "2.000e+00 leaves the double range" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
-    def test_coherent_basis_above_the_budget_exits_two(self, tmp_path):
-        # Phi(e_1) = 1e7 asks for a basis of 60000040 monomials at the first
-        # radius, refused before it is listed
-        path = tmp_path / "p.yaml"
-        path.write_text("n: 1\nphi0:\n  hermitian: [[[1.0e+7, 0.0]]]\n")
-        proc = run_capped("oracle", str(path), "--experiment", "coherent")
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
-        assert "60000040 monomials" in proc.stderr
-
-    def test_coherent_refusal_precedes_every_basis(self, tmp_path, capsys, monkeypatch):
-        # Phi(e_1) = 20000: the bases at radii 1 and 2 fit the budget, the
-        # 1920040 monomials at radius 4 do not, and nothing is listed
+    @pytest.mark.parametrize("n,h", [(1, "20000.0"), (1, "1.0e+7"), (2, "200.0")])
+    def test_coherent_lists_no_basis(self, tmp_path, capsys, monkeypatch, n, h):
+        # a trivial symbol on a dilated Levi form: the norms are 1, in closed
+        # form, whatever the state's degree
         def never(*args):
             raise AssertionError("basis listed")
 
         monkeypatch.setattr(oracle, "monomial_indices", never)
         path = tmp_path / "p.yaml"
-        path.write_text("n: 1\nphi0:\n  hermitian: [[[20000.0, 0.0]]]\n")
-        assert main(["oracle", str(path), "--experiment", "coherent"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-        assert "1920040 monomials" in captured.err
+        levi = ", ".join(f"[{', '.join(f'[{h}, 0]' if i == j else '[0, 0]' for j in range(n))}]"
+                         for i in range(n))
+        path.write_text(f"n: {n}\nphi0:\n  hermitian: [{levi}]\n")
+        assert main(["oracle", str(path), "--experiment", "coherent"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        # each log-norm is a difference of terms near Phi(4 e_1) = 16 h
+        assert max(map(abs, out["log_norms"])) <= 1e-14 * 16.0 * float(h)
+
+    def test_weyl_on_a_tiny_levi_form(self, tmp_path, capsys):
+        # det(H) = 1e-400 is below the double range; its logarithm is not
+        path = tmp_path / "p.yaml"
+        path.write_text(TINY_LEVI_N2)
+        assert main(["oracle", str(path), "--experiment", "weyl"]) == 0
+        assert json.loads(capsys.readouterr().out)["max_rel_error"] <= 1e-12
 
     OVERFLOW_N1 = ("n: 1\nphi0:\n  hermitian: [[[1.0e+308, 0.0]]]\n"
                    "q:\n  xbarx: [[[-1.0e+308, 0.0]]]\n")

@@ -81,7 +81,7 @@ def problem_path(tmp_path_factory):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    # Levi forms near the model weight keep the coherent basis below ~70
+    # Levi forms near the model weight
     h=st.floats(0.1, 0.3),
     p=st.one_of(st.just(0j), small),
     q=st.tuples(small, small, small),
@@ -91,10 +91,11 @@ def problem_path(tmp_path_factory):
         st.sampled_from(["0", "-3", "", "5,,10", "x"]),
     ),
     # the whole problem dilated toward the float maximum, where the oracle's
-    # Gaussian exponents, bases and values overflow
+    # Gaussian exponents and values overflow
     scale=st.sampled_from([1.0, 1e150, 1e300, 1e308]),
 )
-# dilations that overflowed 6 Phi(e_1) and the modulus of a Weyl value
+# dilations that once overflowed the coherent basis size 6 Phi(e_1) and the
+# modulus of a Weyl value
 @example(h=0.3, p=0j, q=(0j, -0.5 + 0j, 0j), experiment="coherent", sizes="10", scale=1e308)
 @example(h=0.2864119, p=-0.2695472 + 0.1603106j,
          q=(0.2991968 + 0.3275483j, -0.3397056 + 0.2545481j, 0.3368365 + 0.3200471j),

@@ -54,8 +54,8 @@ def test_classify_and_scan_leave_scipy_and_the_pool_unloaded(tmp_path, argv):
 
 @pytest.mark.parametrize("experiment", ["trend", "decay", "weyl", "coherent"])
 def test_oracle_leaves_scipy_unloaded(tmp_path, experiment):
-    # Galerkin sections and coherent norms are moment recurrences and the
-    # Weyl convolution a completed square, all on NumPy's inverse and
+    # Galerkin sections are moment recurrences and the Weyl convolution and
+    # coherent norms completed squares, all on NumPy's inverse and
     # eigenvalues: no nodes, no sqrtm, no gammaln
     path = tmp_path / "p.yaml"
     path.write_text("n: 1\nphi0:\n  hermitian: [[[0.25, 0.0]]]\nq:\n"

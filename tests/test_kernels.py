@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bargtop.bergman import BergmanForm, critical_system, growth_subverdict
+from bargtop.bergman import (
+    BergmanForm, _system_matrix, critical_system, growth_subverdict, normal_exponent,
+)
 from bargtop.errors import DegeneratePhase, SingularSystem
 from bargtop.forms import ComplexQuadraticForm, Weight
 from bargtop.symplectic import (
@@ -132,3 +134,46 @@ class TestZeroScaleMessages:
     def test_zero_matrix_reports_zero_margin(self, build, error, text):
         with pytest.raises(error, match=text.replace("(", r"\(").replace("+", r"\+")):
             build()
+
+
+class TestMixedBlockMargin:
+    """At H = I/4 the mixed block fxz is the Schur block of the critical
+    system's inverse over 8, so normal_exponent reads its margin off the
+    b22 margin instead of a second SVD."""
+
+    @staticmethod
+    def schur_problem(margin):
+        # q = (A, 0, A) with A = diag(0, s): the Schur complement is
+        # diag(1/2, (1 - 4 s^2) / 2), so the b22 margin is 1 - 4 s^2
+        a = np.diag([0.0, np.sqrt((1.0 - margin) / 4.0)])
+        return ComplexQuadraticForm(a, np.zeros((2, 2)), a)
+
+    @staticmethod
+    def checked_form(q):
+        """The exponent's blocks passed through BergmanForm's own check."""
+        n, h = q.n, np.eye(q.n) / 4.0
+        inv = np.linalg.inv(_system_matrix(h, q))
+        sol = 0.5 * inv
+        fxx, fzz = h.T @ sol[n:, :n], h @ sol[:n, n:]
+        return BergmanForm((fxx + fxx.T) / 2.0, h.T @ sol[n:, n:], (fzz + fzz.T) / 2.0)
+
+    def test_refused_with_the_form_message(self):
+        q = self.schur_problem(5e-11)
+        with pytest.raises(SingularSystem) as want:
+            self.checked_form(q)
+        with pytest.raises(SingularSystem) as got:
+            normal_exponent(q)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("mixed block of the coherent exponent is singular")
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+    def test_blocks_are_the_checked_form(self, seed, n):
+        q = random_admissible_problem(np.random.default_rng(seed), n).normal.q
+        f, want = normal_exponent(q), self.checked_form(q)
+        for name in ("fxx", "fxz", "fzz"):
+            assert np.array_equal(getattr(f, name), getattr(want, name)), name
+
+    def test_margin_just_above_is_accepted(self):
+        f = normal_exponent(self.schur_problem(2e-10))
+        assert np.array_equal(f.fxz, self.checked_form(self.schur_problem(2e-10)).fxz)

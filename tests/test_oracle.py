@@ -16,9 +16,11 @@ from bargtop.errors import (
 from bargtop.forms import ComplexQuadraticForm, Weight, quadratic_matrix, real_part_matrix
 from bargtop.model import ModelInstance, model_problem
 from bargtop.oracle import (
+    _GaussianIntegral,
+    _MomentRecurrence,
     _block_order,
-    _coherent_coefficients,
-    _gaussian_exponent_matrix,
+    _coherent_images,
+    _gaussian_exponent,
     coherent_norms,
     is_plateau,
     monomial_indices,
@@ -30,7 +32,9 @@ from bargtop.oracle import (
     weyl_convolutions,
 )
 from bargtop.toeplitz import ToeplitzProblem, VerdictClass, classify_operator
-from bargtop.verify import COHERENT_RADII, coherent_slope, random_admissible_problem, weyl_evidence
+from bargtop.verify import (
+    COHERENT_RADII, coherent_evidence, coherent_slope, random_admissible_problem, weyl_evidence,
+)
 from bargtop.weyl import weyl_symbol
 
 
@@ -103,7 +107,7 @@ def gauss_hermite_section(problem, size, order):
     dimension at a time; monomials are raw powers scaled by their norms."""
     n = problem.n
     hdiag = np.real(np.diag(problem.weight.h))
-    minv, detm = gauss_hermite_substitution(_gaussian_exponent_matrix(problem))
+    minv, detm = gauss_hermite_substitution(_gaussian_exponent(problem).g)
     s, w = scipy.special.roots_hermite(order)
     indices = monomial_indices(n, size)
     scale = np.exp(-0.5 * log_norms_sq(hdiag, indices))
@@ -127,7 +131,7 @@ def reference_section(problem, size):
     mp = pytest.importorskip("mpmath")
     n, indices = problem.n, monomial_indices(problem.n, size)
     with mp.workdps(50):
-        g = mp.matrix(_gaussian_exponent_matrix(problem).tolist())
+        g = mp.matrix(_gaussian_exponent(problem).g.tolist())
         ginv = g ** -1
         h = [mp.mpf(float(v)) for v in np.real(np.diag(problem.weight.h))]
 
@@ -304,6 +308,21 @@ class TestGalerkinBudget:
         assert np.all(np.isfinite(larger))
         assert np.array_equal(larger[:200, :200], whole)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_counted_bytes_bound_the_recurrence(self, n):
+        # the basis' index list, then the recurrence's index arrays
+        hdiag = np.real(np.diag(separable_problem(np.random.default_rng(5), n).weight.h))
+        _MomentRecurrence(monomial_indices(n, 10), hdiag)  # NumPy's lazy imports
+        nbasis = 20000
+        tracemalloc.start()
+        try:
+            _MomentRecurrence(monomial_indices(n, nbasis), hdiag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert oracle_module._basis_bytes(nbasis) / 2 < peak
+        assert peak <= oracle_module._basis_bytes(nbasis)
+
     def test_radial_section_stays_far_below_the_budget(self):
         # size 400, past the 176 that NumPy's Gauss-Laguerre rule once
         # allowed, holds a 2.4 MiB table
@@ -430,9 +449,9 @@ class TestClosedFormExponents:
             # on an admissible problem; the builder must refuse it
             assert pluriharmonic
             with pytest.raises(QuadratureDivergence):
-                _gaussian_exponent_matrix(problem)
+                _gaussian_exponent(problem)
             return
-        got = _gaussian_exponent_matrix(problem)
+        got = _gaussian_exponent(problem).g
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @settings(max_examples=40, deadline=None)
@@ -570,6 +589,35 @@ class TestWeylEvidence:
         assert values == [numeric_weyl(problem, x) for x in points]
 
 
+def image_coefficients(problem, w, nbasis):
+    """<T k_w, e_alpha> on the first ``nbasis`` monomials, read off the
+    closed-form image T k_w(z) = exp(z.Mz + z.c + d): its Taylor
+    coefficients obey alpha_l f_alpha = c_l f_p + 2 sum_i M_li f_{p - e_i}
+    with p = alpha - e_l, and <f, e_alpha> = f_alpha ||x^alpha||."""
+    m, [(_, c, d)] = _coherent_images(problem, (w,))
+    n, hdiag = problem.n, np.real(np.diag(problem.weight.h))
+    indices = monomial_indices(n, nbasis)
+    pos = {alpha: j for j, alpha in enumerate(indices)}
+    b = np.zeros(nbasis, dtype=complex)
+    b[0] = np.exp(d + 0.5 * np.sum(np.log(math.pi / (2.0 * hdiag))))  # e^d ||1||
+    for j, alpha in enumerate(indices[1:], 1):
+        l = max(i for i, a in enumerate(alpha) if a)
+        p = alpha[:l] + (alpha[l] - 1,) + alpha[l + 1:]
+        acc = c[l] * b[pos[p]]
+        for i, pi in enumerate(p):
+            if pi:
+                low = p[:i] + (pi - 1,) + p[i + 1:]
+                acc += 2.0 * m[l, i] * math.sqrt(pi / (2.0 * hdiag[i])) * b[pos[low]]
+        b[j] = acc / math.sqrt(2.0 * hdiag[l] * alpha[l])
+    return b
+
+
+def default_basis(problem, w):
+    """40 + 6 Phi(w) monomials: at n = 1 the coherent state's mass, near
+    degree 2 Phi(w), is well inside."""
+    return 40 + int(6.0 * problem.weight.value(w))
+
+
 class TestCoherentNorms:
     def test_trivial_symbol_normalized(self):
         for r in (0.5, 1.0, 2.0, 4.0):
@@ -577,8 +625,8 @@ class TestCoherentNorms:
             assert got == pytest.approx(1.0, abs=1e-10)
 
     def test_trivial_symbol_n2(self):
-        got = numeric_coherent_norm(trivial_problem(2), [1.0, 0.5j], nbasis=45)
-        assert got == pytest.approx(1.0, abs=1e-6)
+        got = numeric_coherent_norm(trivial_problem(2), [1.0, 0.5j])
+        assert got == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("lam,expect", [(-0.5, -0.1875), (0.2, (1 / 0.36 - 1) / 4)])
     def test_log_norm_slopes(self, lam, expect):
@@ -586,13 +634,13 @@ class TestCoherentNorms:
         radii = np.array([1.0, 2.0, 4.0])
         logs = [np.log(numeric_coherent_norm(problem, [r])) for r in radii]
         slope = np.polyfit(radii ** 2, logs, 1)[0]
-        assert abs(slope - expect) <= 0.01 * abs(expect)
+        assert abs(slope - expect) <= 1e-13 * abs(expect)
 
     @pytest.mark.parametrize("family,n", [("separable", 1), ("separable", 2), ("general", 1),
                                           ("model", 1)])
     def test_slope_log_norms_are_the_one_point_norms(self, family, n):
-        # one setup and one basis, listed at the largest radius' size, for
-        # all three radii; each smaller basis runs over a prefix of it
+        # one setup for all three radii: only the linear terms are taken
+        # at each point
         rng = np.random.default_rng(11)
         problem = (separable_problem(rng, n) if family == "separable"
                    else diagonal_levi_problem(rng, n) if family == "general"
@@ -602,18 +650,27 @@ class TestCoherentNorms:
         one_point = [numeric_coherent_norm(problem, r * e1) for r in COHERENT_RADII]
         assert logs == [float(np.log(norm)) for norm in one_point]
 
-    def test_norms_on_a_given_basis(self):
+    def test_norms_at_general_points_are_the_one_point_norms(self):
         problem = diagonal_levi_problem(np.random.default_rng(12), 2)
         points = [np.array([0.3, 1j]), np.array([-1.0, 0.5])]
-        got = coherent_norms(problem, points, nbasis=30)
-        assert got == [numeric_coherent_norm(problem, w, nbasis=30) for w in points]
+        got = coherent_norms(problem, points)
+        assert got == [numeric_coherent_norm(problem, w) for w in points]
+
+    def test_slope_matches_the_prediction_on_general_n2_draws(self):
+        # the Bergman growth exponent is a different construction, at the
+        # normal form
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            evidence = coherent_evidence(diagonal_levi_problem(rng, 2))
+            pred = evidence["predicted_slope"]
+            assert abs(evidence["slope"] - pred) <= 1e-9 * abs(pred)
 
     @staticmethod
     def explicit_coefficients(problem, w, nbasis, order):
         """The tensor grid and the monomial matrix built out in full."""
         n, h = problem.n, problem.weight.h
         hdiag = np.real(np.diag(h))
-        minv, detm = gauss_hermite_substitution(_gaussian_exponent_matrix(problem))
+        minv, detm = gauss_hermite_substitution(_gaussian_exponent(problem).g)
         s, wts = scipy.special.roots_hermite(order)
         pts = np.array(list(itertools.product(s, repeat=2 * n)))
         weights = np.prod(list(itertools.product(wts, repeat=2 * n)), axis=1)
@@ -629,7 +686,7 @@ class TestCoherentNorms:
 
     @pytest.mark.parametrize("case", ["n1", "n2"])
     def test_coefficients_match_the_explicit_grid(self, case):
-        # the moment recurrence against a high order on the unshifted
+        # the closed-form image against a high order on the unshifted
         # Gauss-Hermite grid
         if case == "n1":
             problem, w, nbasis, order = scalar_problem(-0.3 + 0.1j, 0.08), np.array([1.5 - 0.5j]), 12, 30
@@ -637,17 +694,17 @@ class TestCoherentNorms:
             problem = diagonal_levi_problem(np.random.default_rng(3), 2)
             w, nbasis, order = np.array([0.8, 0.3j]), 10, 16
         ref = self.explicit_coefficients(problem, w, nbasis, order)
-        got = _coherent_coefficients(problem, w, nbasis)
+        got = image_coefficients(problem, w, nbasis)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @staticmethod
     def reference_coefficients(problem, w, nbasis):
-        """The Gaussian moment recurrence at 50 digits, from the same
-        exponent matrix G."""
+        """The basis coefficients <e^q k_w, e_alpha> by the Gaussian moment
+        recurrence at 50 digits, from the same exponent matrix G."""
         mp = pytest.importorskip("mpmath")
         n = problem.n
         with mp.workdps(50):
-            g = mp.matrix(_gaussian_exponent_matrix(problem).tolist())
+            g = mp.matrix(_gaussian_exponent(problem).g.tolist())
             ginv = g ** -1
             h = [mp.mpf(float(v)) for v in np.real(np.diag(problem.weight.h))]
             hw = [h[i] * mp.conj(mp.mpc(complex(w[i]))) for i in range(n)]
@@ -672,67 +729,47 @@ class TestCoherentNorms:
             pref = mp.exp(log_pref)
             return np.array([complex(v * pref) for v in m.values()])
 
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("family", ["separable", "general"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_coefficients_match_a_50_digit_recurrence(self, n, family, seed):
-        # the recurrence loses nothing to rounding beyond a few ulps of the
-        # largest coefficient
+    @staticmethod
+    def draw(n, family, seed):
+        """A problem and a point at |w| = 4 of the 50-digit tests."""
         rng = np.random.default_rng([seed, n])
         problem = (separable_problem(rng, n) if family == "separable"
                    else diagonal_levi_problem(rng, n))
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        w *= 4.0 / np.linalg.norm(w)
-        nbasis = 40 + int(6.0 * problem.weight.value(w))
-        ref = self.reference_coefficients(problem, w, nbasis)
-        got = _coherent_coefficients(problem, w, nbasis)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-    def test_basis_above_the_budget_is_refused_before_allocating(self, monkeypatch):
-        # the recurrence's state is counted at 256 bytes per monomial, so
-        # the 256 MiB budget admits 2^20 monomials; a Levi form of 1e7 I
-        # asks for 6e7 of them at e_1
-        budget = oracle_module._TABLE_MAX_BYTES
-        assert oracle_module._basis_bytes(1 << 20) <= budget
-        assert oracle_module._basis_bytes((1 << 20) + 1) > budget
-
-        def never(*args):
-            raise AssertionError("basis listed")
-
-        monkeypatch.setattr(oracle_module, "monomial_indices", never)
-        with pytest.raises(OracleRefusal, match="256 MiB"):
-            numeric_coherent_norm(trivial_problem(2), [1.0, 0.0], nbasis=(1 << 20) + 1)
-        huge = ToeplitzProblem(Weight(1e7 * np.eye(2), np.zeros((2, 2))),
-                               ComplexQuadraticForm.zero(2))
-        with pytest.raises(OracleRefusal, match="60000040 monomials"):
-            numeric_coherent_norm(huge, [1.0, 0.0])
+        return problem, w * 4.0 / np.linalg.norm(w)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_counted_bytes_bound_the_recurrence(self, n):
-        rng = np.random.default_rng(5)
-        problem = separable_problem(rng, n)
-        w = np.eye(n, dtype=complex)[0]
-        _coherent_coefficients(problem, w, 10)  # NumPy's lazy imports
-        nbasis = 20000
-        tracemalloc.start()
-        try:
-            _coherent_coefficients(problem, w, nbasis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert oracle_module._basis_bytes(nbasis) / 2 < peak
-        assert peak <= oracle_module._basis_bytes(nbasis)
+    @pytest.mark.parametrize("family", ["separable", "general"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coefficients_match_a_50_digit_recurrence(self, n, family, seed):
+        # the first completed square, T k_w(z) = exp(z.Mz + z.c + d), has the
+        # basis coefficients of the image to a few ulps of the largest
+        problem, w = self.draw(n, family, seed)
+        nbasis = default_basis(problem, w)
+        ref = self.reference_coefficients(problem, w, nbasis)
+        got = image_coefficients(problem, w, nbasis)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("family", ["separable", "general"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_norm_is_the_converged_basis_sum(self, family, seed):
+        # at n = 1 the 50-digit basis sum has converged at 8 times
+        # default_basis; the second completed square is its limit
+        problem, w = self.draw(1, family, seed)
+        coeffs = self.reference_coefficients(problem, w, 8 * default_basis(problem, w))
+        ref = 0.5 * math.log(np.sum(np.abs(coeffs) ** 2))
+        assert abs(math.log(numeric_coherent_norm(problem, w)) - ref) <= 1e-12
 
     def test_norm_peak_memory(self):
         problem = scalar_problem(-0.4 + 0.1j)
-        numeric_coherent_norm(problem, [4.0])  # SciPy's lazy imports
+        numeric_coherent_norm(problem, [4.0])  # NumPy's lazy imports
         tracemalloc.start()
         try:
             numeric_coherent_norm(problem, [4.0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # basis 64: the recurrence's state is counted at 16 KiB
+        # a few 2 x 2 matrices and their temporaries
         assert peak < 4 * (1 << 20)
 
     def test_weak_convergence_of_coherent_states(self):
@@ -740,12 +777,39 @@ class TestCoherentNorms:
         problem = trivial_problem()
         mags = []
         for r in (2.0, 5.0, 8.0):
-            coeffs = _coherent_coefficients(problem, [r], nbasis=4)
+            coeffs = image_coefficients(problem, [r], 4)
             mags.append(np.abs(coeffs))
         for k in range(4):
             seq = [m[k] for m in mags]
             assert seq[1] < seq[0] and seq[2] < seq[1]
             assert seq[-1] < 1e-4
+
+
+class TestGaussianIntegral:
+    """The one completed square behind the Weyl convolution and the
+    coherent norms."""
+
+    def test_one_dimensional_integral(self):
+        # int e^{-a t^2 + l t} dt = sqrt(pi / a) e^{l^2 / 4a}, over sqrt(pi)
+        a, lin = 0.7 - 0.4j, np.array([0.3 + 1.1j])
+        got = _GaussianIntegral(np.array([[a]]), "test").log(lin)
+        assert abs(got - (-0.5 * np.log(a) + lin[0] ** 2 / (4.0 * a))) <= 1e-15
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_far_from_unit_scale(self, scale):
+        # det(G) = scale^4 is outside the double range at either end
+        g = scale * np.diag([1.0, 2.0, 3.0, 4.0])
+        got = _GaussianIntegral(g, "test").log_base
+        assert abs(got - (-2.0 * np.log(scale) - 0.5 * np.log(24.0))) <= 1e-13 * abs(got)
+
+    @pytest.mark.parametrize("divergence", [QuadratureDivergence, NotAbsolutelyConvergent])
+    def test_indefinite_real_part_is_refused(self, divergence):
+        with pytest.raises(divergence, match=r"^the test integrand is not integrable \(min Re"):
+            _GaussianIntegral(np.diag([1.0, -1e-3 + 1j]), "the test integrand", divergence)
+
+    def test_non_finite_matrix_is_refused(self):
+        with pytest.raises(NumericalFailure, match="^the test integrand leaves the double range"):
+            _GaussianIntegral(np.diag([1.0, np.inf]), "the test integrand")
 
 
 class TestVerdictConsistency:
