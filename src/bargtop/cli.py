@@ -72,9 +72,15 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 # scan
 
-#: largest grid a scan runs: its point and row lists hold about 300 bytes
-#: per row (tracemalloc, CPython 3.11), so 256 MiB of them is about 9e5 rows
+#: largest grid a scan runs: its point and row lists, with the pool's
+#: chunks and futures, hold under 300 bytes per row (tracemalloc, CPython
+#: 3.11, 6e4 rows: 291 pooled, 267 serial), so 256 MiB is about 9e5 rows
 _SCAN_MAX_ROWS = (256 << 20) // 300
+
+#: rows each worker process must take to repay its start-up, so a grid of
+#: fewer than twice this many runs serially: on a 2-CPU box a 2-worker pool
+#: lost to the serial scan at 150 rows and broke even or won from 200
+_ROWS_PER_WORKER = 100
 
 
 def _grid_value(text: str, what: str, scale: float = 1.0) -> float:
@@ -109,17 +115,6 @@ def _parse_values(text: str, what: str) -> list:
     return vals
 
 
-def _check_workers(workers: int) -> None:
-    # a fork pool starts all its workers at once: cap them at the CPUs
-    # this process may run on
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if not 1 <= workers <= cpus:
-        raise ValueError(f"--workers: expected 1 to {cpus} (usable CPUs), got {workers}")
-
-
 def _scan_point(point):
     re_lam, im_lam, norm_a = (float(v) for v in point)
     # the model problem is its own normal form, q' = (0, lam, 2 ||A||) on
@@ -148,6 +143,60 @@ def _scan_point(point):
     return (re_lam, im_lam, norm_a, verdict.verdict.value, verdict.margin)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _start_pool(workers: int, points: list):
+    """(pool, iterator over the rows of `points`) on `workers` forked
+    processes, or None where fork is not the platform's default start
+    method or the pool cannot start (no fork, no semaphores)."""
+    try:
+        # imported here: a serial scan never loads multiprocessing
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        if multiprocessing.get_all_start_methods()[0] != "fork":
+            return None
+        before = set(multiprocessing.active_children())
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    except (OSError, NotImplementedError, ImportError):
+        return None
+    try:
+        # the workers fork here, at the first chunk
+        return pool, pool.map(_scan_point, points, chunksize=32)
+    except (OSError, NotImplementedError, ImportError):
+        # a worker forked before a later fork failed has no manager
+        # thread to stop it
+        for proc in set(multiprocessing.active_children()) - before:
+            proc.terminate()
+            proc.join()
+        pool.shutdown(cancel_futures=True)
+        return None
+
+
+def _scan_rows(points: list) -> list:
+    """The rows of `points`, in order: on one process per usable CPU when
+    each gets at least _ROWS_PER_WORKER rows and the pool starts, else in
+    this process."""
+    workers = min(_usable_cpus(), len(points) // _ROWS_PER_WORKER)
+    started = _start_pool(workers, points) if workers > 1 else None
+    if started is None:
+        return [_scan_point(p) for p in points]
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool, rows = started
+    try:
+        return list(rows)
+    except BrokenProcessPool as exc:
+        raise NumericalFailure(f"a scan worker process died: {exc}") from None
+    finally:
+        # after a failed row, the chunks no worker has taken yet are dropped
+        pool.shutdown(cancel_futures=True)
+
+
 def _cmd_scan(args) -> int:
     try:
         re_range = _parse_range(args.lambda_re, "--lambda-re")
@@ -157,7 +206,6 @@ def _cmd_scan(args) -> int:
         size = re_range[2] * len(ims) * na_range[2]
         if size > _SCAN_MAX_ROWS:
             raise ValueError(f"the grid has {size} rows, above the limit of {_SCAN_MAX_ROWS}")
-        _check_workers(args.workers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
@@ -171,14 +219,7 @@ def _cmd_scan(args) -> int:
         return EXIT_INADMISSIBLE
     written = False
     try:
-        if args.workers > 1:
-            # imported here: it loads multiprocessing, which a serial scan never needs
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                rows = list(pool.map(_scan_point, points, chunksize=32))
-        else:
-            rows = [_scan_point(p) for p in points]
+        rows = _scan_rows(points)
         writer = csv.writer(fh)
         writer.writerow(["re_lambda", "im_lambda", "normA", "verdict", "margin"])
         for re_lam, im_lam, norm_a, verdict, margin in rows:
@@ -279,7 +320,6 @@ def _parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--lambda-im", default="0", metavar="V[,V...]")
     p_scan.add_argument("--norm-a", required=True, metavar="A:B:STEPS")
     p_scan.add_argument("-o", "--output", required=True)
-    p_scan.add_argument("--workers", type=int, default=1)
     p_scan.set_defaults(fn=_cmd_scan)
 
     p_verify = sub.add_parser("verify", help="run cross-validation suites")

@@ -1,5 +1,7 @@
+import concurrent.futures.process
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -389,6 +391,46 @@ class TestClosedFormThroughFiles:
             assert report["verdict"] == closed.verdict.value
 
 
+PARENT_PID = os.getpid()
+SCAN_POINT = cli._scan_point
+
+
+def exit_on_last_row(point):
+    """``cli._scan_point`` in a worker that dies on the point (0, 0, 0.1)."""
+    if point == (0.0, 0.0, 0.1):
+        assert os.getpid() != PARENT_PID, "the grid ran in the test process"
+        os._exit(1)
+    return SCAN_POINT(point)
+
+
+class PoolSpy(list):
+    """The process pools a scan starts, once ``on()`` lets a grid of a few
+    rows take a 2-worker pool."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        self.monkeypatch = monkeypatch
+        executor, pools = concurrent.futures.process.ProcessPoolExecutor, self
+
+        class Counted(executor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Counted)
+
+    def on(self):
+        self.monkeypatch.setattr(cli, "_ROWS_PER_WORKER", 2)
+        self.monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    if multiprocessing.get_all_start_methods()[0] != "fork":
+        pytest.skip("the scan pools only where fork is the default start method")
+    return PoolSpy(monkeypatch)
+
+
 class TestScanCommand:
     def test_single_boundary_point(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
@@ -399,13 +441,16 @@ class TestScanCommand:
         assert lines[0] == "re_lambda,im_lambda,normA,verdict,margin"
         assert lines[1] == "0.0,0.0,0.0,bounded_not_compact,0.0"
 
-    def test_deterministic_and_parallel_identical(self, tmp_path, capsys):
+    def test_deterministic_and_parallel_identical(self, tmp_path, capsys, pooled):
         args = ["--lambda-re", "-1:0.2:7", "--lambda-im", "0,0.5",
                 "--norm-a", "0:0.2:3"]
         out1, out2, out3 = (tmp_path / f"s{i}.csv" for i in range(3))
         assert main(["scan", *args, "-o", str(out1)]) == 0
         assert main(["scan", *args, "-o", str(out2)]) == 0
-        assert main(["scan", *args, "-o", str(out3), "--workers", "2"]) == 0
+        assert not pooled
+        pooled.on()
+        assert main(["scan", *args, "-o", str(out3)]) == 0
+        assert len(pooled) == 1 and not multiprocessing.active_children()
         assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
 
     def test_reference_grid_matches_golden_csv(self, tmp_path, capsys):
@@ -581,22 +626,70 @@ class TestScanCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("workers", ["0", "-3", "cpus + 1"])
-    def test_workers_out_of_range_rejected(self, tmp_path, capsys, monkeypatch, workers):
-        def never(point):
-            raise AssertionError("the grid ran")
+    SIX_ROWS = ["--lambda-re=-1:0:3", "--norm-a", "0:0.1:2"]
 
-        if workers == "cpus + 1":
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count())
-            workers = str(cpus + 1)
-        monkeypatch.setattr(cli, "_scan_point", never)
+    @pytest.mark.parametrize("failure", [OSError, NotImplementedError, ImportError])
+    def test_pool_that_cannot_start_runs_the_grid_here(self, tmp_path, capsys, monkeypatch,
+                                                        pooled, failure):
+        # no semaphores (NotImplementedError, ImportError) or no processes (OSError)
+        def no_pool(*args, **kwargs):
+            tried.append(args)
+            raise failure("no pool here")
+
+        tried = []
+        serial, out = tmp_path / "serial.csv", tmp_path / "scan.csv"
+        assert main(["scan", *self.SIX_ROWS, "-o", str(serial)]) == 0
+        pooled.on()
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
+        assert main(["scan", *self.SIX_ROWS, "-o", str(out)]) == 0
+        assert len(tried) == 1 and out.read_bytes() == serial.read_bytes()
+        assert not multiprocessing.active_children()
+
+    def test_fork_that_fails_on_the_second_worker_runs_the_grid_here(
+            self, tmp_path, capsys, monkeypatch, pooled):
+        # the first worker has forked and waits for work that never comes
+        fork, forks = os.fork, []
+
+        def fork_once():
+            forks.append(1)
+            if len(forks) > 1:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return fork()
+
+        serial, out = tmp_path / "serial.csv", tmp_path / "scan.csv"
+        assert main(["scan", *self.SIX_ROWS, "-o", str(serial)]) == 0
+        pooled.on()
+        monkeypatch.setattr(os, "fork", fork_once)
+        assert main(["scan", *self.SIX_ROWS, "-o", str(out)]) == 0
+        assert len(forks) == 2 and out.read_bytes() == serial.read_bytes()
+        assert not multiprocessing.active_children()
+
+    def test_dead_worker_exits_three_in_one_line(self, tmp_path, capsys, monkeypatch, pooled):
+        pooled.on()
+        monkeypatch.setattr(cli, "_scan_point", exit_on_last_row)
         out = tmp_path / "scan.csv"
-        assert main(["scan", "--lambda-re=-1:0:3", "--norm-a", "0:0.1:2", "-o", str(out),
-                     "--workers", workers]) == 2
+        assert main(["scan", *self.SIX_ROWS, "-o", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: --workers:") and err.count("\n") == 1
-        assert not out.exists()
+        assert err.startswith("numerical failure: a scan worker process died")
+        assert err.count("\n") == 1
+        assert len(pooled) == 1 and not out.exists()
+        assert not multiprocessing.active_children()
+
+    def test_confident_conflict_on_the_pool_fails_as_serially(self, tmp_path, capsys,
+                                                               monkeypatch, pooled):
+        # the worker's NumericalFailure reaches main as the serial scan's does
+        monkeypatch.setenv("TOEPLITZ_TOL", "1e-3")
+        grid = ["--lambda-re=-1:-0.001:2", "--lambda-im", "0", "--norm-a", "0:0.001:2"]
+        out = tmp_path / "scan.csv"
+        errs = []
+        for _ in range(2):
+            assert main(["scan", *grid, "-o", str(out)]) == 3
+            errs.append(capsys.readouterr().err)
+            assert not out.exists()
+            pooled.on()
+        assert errs[0] == errs[1] and errs[0].count("\n") == 1
+        assert errs[0].startswith("numerical failure: pipeline=bounded_not_compact")
+        assert len(pooled) == 1 and not multiprocessing.active_children()
 
     def test_grid_above_row_limit_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch):
         def never(*args):

@@ -1,19 +1,23 @@
 """The import graph of a fresh process.
 
-SciPy serves only ``verify``'s random draws, the process pool only
-``scan --workers N`` with N > 1, and PyYAML only problem files that are
-not in canonical form; ``classify`` of a canonical file, a serial
+SciPy serves only ``verify``'s random draws, the process pool only a
+``scan`` with at least two usable CPUs and a grid large enough to give
+each worker ``cli._ROWS_PER_WORKER`` rows, and PyYAML only problem files
+that are not in canonical form; ``classify`` of a canonical file, a serial
 ``scan`` and every oracle experiment load none of them.  Each test starts its own interpreter,
 since the test process itself has long since imported all three.
 """
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from bargtop import cli
 
 SRC = Path(__file__).parents[1] / "src"
 DATA = Path(__file__).parent / "data"
@@ -62,6 +66,43 @@ def test_oracle_leaves_scipy_unloaded(tmp_path, experiment):
                     "  xx: [[[0.05, 0.1]]]\n  xbarx: [[[-0.3, 0.4]]]\n  xbarxbar: [[[0.02, -0.1]]]\n")
     result = run_main(["oracle", str(path), "--experiment", experiment])
     assert result == {"rc": 0, "loaded": []}
+
+
+# runs main(argv), pinned to one CPU first when asked, and reports whether
+# it loaded the pool and how many child processes it left
+SCAN_CHILD = """
+import json, os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from bargtop.cli import main
+rc = main(sys.argv[2:])
+mp = sys.modules.get("multiprocessing")
+print(json.dumps({"rc": rc, "pool": "concurrent.futures.process" in sys.modules,
+                  "children": len(mp.active_children()) if mp else 0}))
+"""
+
+REFERENCE_GRID = ["scan", "--lambda-re=-2:0.24:101", "--lambda-im", "0,0.5",
+                  "--norm-a", "0:0.2:5", "-o", "scan.csv"]
+
+
+def run_reference_scan(affinity, cwd):
+    proc = fresh_python("-c", SCAN_CHILD, affinity, *REFERENCE_GRID, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    assert (cwd / "scan.csv").read_bytes() == (DATA / "scan_reference.csv").read_bytes()
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_scan_pinned_to_one_cpu_runs_here(tmp_path):
+    # the affinity mask, as taskset -c 0 sets it, is how a user limits the pool
+    assert run_reference_scan("pinned", tmp_path) == {"rc": 0, "pool": False, "children": 0}
+
+
+@pytest.mark.skipif(cli._usable_cpus() < 2, reason="one usable CPU: the scan runs here")
+@pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                    reason="the scan pools only where fork is the default start method")
+def test_scan_spreads_the_reference_grid_over_the_pool(tmp_path):
+    assert run_reference_scan("default", tmp_path) == {"rc": 0, "pool": True, "children": 0}
 
 
 def test_block_style_file_loads_yaml(tmp_path):
