@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack
 from .errors import SingularSystem
 from .forms import (
     ComplexQuadraticForm,
@@ -73,22 +74,28 @@ def _system_matrix(h: np.ndarray, q: ComplexQuadraticForm) -> np.ndarray:
     return amat
 
 
-def _rel_inv_margin(m: np.ndarray) -> float:
-    sv = np.linalg.svd(m, compute_uv=False)
+def _rel_inv_margin(sv: np.ndarray) -> float:
+    """sigma_min / sigma_max from descending singular values."""
     return float(sv[-1] / max(sv[0], 1e-300))
 
 
-def _checked_inverse(amat: np.ndarray) -> tuple[np.ndarray, dict]:
+def _checked_inverse(amat: np.ndarray, a11_sv=None) -> tuple[np.ndarray, dict]:
     """The inverse of the critical system and its three margins; raises
-    :class:`SingularSystem` when one of them is 1e-12 or less."""
+    :class:`SingularSystem` when one of them is 1e-12 or less.
+
+    ``a11_sv`` are the singular values of the upper-left block when they
+    are known already: the admissibility check takes them.
+    """
     n = amat.shape[0] // 2
-    margins = {"system": _rel_inv_margin(amat), "a11": _rel_inv_margin(amat[:n, :n])}
+    if a11_sv is None:
+        a11_sv = _lapack.svdvals(amat[:n, :n])
+    margins = {"system": _rel_inv_margin(_lapack.svdvals(amat)), "a11": _rel_inv_margin(a11_sv)}
     if margins["system"] <= 1e-12:
         raise SingularSystem(f"critical system singular (margin {margins['system']:.3e})")
     if margins["a11"] <= 1e-12:
         raise SingularSystem(f"upper-left block singular (margin {margins['a11']:.3e})")
-    inv = np.linalg.inv(amat)
-    margins["b22"] = _rel_inv_margin(inv[n:, n:])
+    inv = _lapack.inv(amat)
+    margins["b22"] = _rel_inv_margin(_lapack.svdvals(inv[n:, n:]))
     if margins["b22"] <= 1e-12:
         raise SingularSystem(f"Schur block singular (margin {margins['b22']:.3e})")
     return inv, margins
@@ -147,11 +154,15 @@ def bergman_exponent(problem: ToeplitzProblem) -> BergmanForm:
     """The coherent-state exponent of the problem, in its coordinates."""
     problem.require_admissible()
     _require_hermitian_weight(problem.weight, "the coherent-state exponent")
-    return _exponent_to_file(problem, normal_exponent(problem.normal.q))
+    return _exponent_to_file(
+        problem, normal_exponent(problem.normal.q, problem.admissibility.mixed_singular_values))
 
 
-def normal_exponent(q: ComplexQuadraticForm) -> BergmanForm:
+def normal_exponent(q: ComplexQuadraticForm, a11_sv=None) -> BergmanForm:
     """Solve the critical system on the weight |x|^2/4 and substitute back.
+
+    ``a11_sv`` are the singular values of I/2 - Qxbx, descending, when the
+    caller has them: the normal form's admissibility check takes them.
 
     The right-hand side [[2H, 0], [0, 2H^T]] is I/2 there, so the inverse
     that the Schur margin takes is also the solution.  At the critical
@@ -161,7 +172,7 @@ def normal_exponent(q: ComplexQuadraticForm) -> BergmanForm:
     """
     n = q.n
     h = _model_weight(n).h
-    inv, margins = _checked_inverse(_system_matrix(h, q))
+    inv, margins = _checked_inverse(_system_matrix(h, q), a11_sv)
     # fxz = inv[n:, n:] / 8 exactly: BergmanForm's margin is the b22 margin
     if margins["b22"] <= 1e-10:
         raise SingularSystem(
@@ -175,8 +186,8 @@ def normal_exponent(q: ComplexQuadraticForm) -> BergmanForm:
     fzz = h @ yz
     fxz = h.T @ tz
     fxz_alt = (h @ yx).T
-    scale = max(1.0, float(np.abs(fxz).max()))
-    residual = float(np.abs(fxz - fxz_alt).max() / scale)
+    scale = max(1.0, float(abs(fxz).max()))
+    residual = float(abs(fxz - fxz_alt).max() / scale)
     fxx = (fxx + fxx.T) / 2.0
     fzz = (fzz + fzz.T) / 2.0
     return _record(BergmanForm, fxx=fxx, fxz=fxz, fzz=fzz, route_residual=residual)

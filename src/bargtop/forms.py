@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack
 from .errors import NumericalFailure
 
 __all__ = [
@@ -165,15 +166,14 @@ def classify_real_form(mat, tol=None):
     ``"definite"``, ``"semidefinite"``, ``"indefinite"``.  Eigenvalues
     within ``tol*scale`` of zero count as zero.
     """
-    return classify_eigenvalues(np.linalg.eigvalsh(np.asarray(mat, dtype=float)), tol)
+    return classify_eigenvalues(_lapack.eigvalsh(np.asarray(mat, dtype=float)), tol)
 
 
 def classify_eigenvalues(eigs, tol=None):
     """:func:`classify_real_form` of a matrix with ascending eigenvalues ``eigs``."""
     if tol is None:
         tol = classification_tolerance()
-    scale = float(np.abs(eigs).max()) if eigs.size else 0.0
-    margin = float(eigs[0]) if eigs.size else 0.0
+    margin, scale = _ends(eigs)
     band = tol * scale
     if scale <= 1e-13:
         # the whole matrix is rounding noise; it represents the zero form
@@ -187,9 +187,17 @@ def classify_eigenvalues(eigs, tol=None):
     return label, margin, scale
 
 
+def _ends(eigs) -> tuple[float, float]:
+    """(smallest, largest magnitude) of ascending eigenvalues, (0, 0) for none."""
+    if not eigs.size:
+        return 0.0, 0.0
+    low = float(eigs[0])
+    return low, max(abs(low), abs(float(eigs[-1])))
+
+
 def _finite(mat, name):
     mat = np.asarray(mat, dtype=complex)
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValueError(f"{name} has non-finite entries")
     return mat
 
@@ -200,8 +208,9 @@ def _check_symmetric(mat, name, hermitian=False):
     mat = _finite(mat, name)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
-    half, half_t = mat / 2.0, (mat.conj() if hermitian else mat).T / 2.0
-    if np.max(np.abs(half - half_t)) > _SYM_TOL * (np.max(np.abs(half)) + 0.5):
+    half = mat / 2.0
+    half_t = (half.conj() if hermitian else half).T
+    if abs(half - half_t).max() > _SYM_TOL * (abs(half).max() + 0.5):
         raise ValueError(f"{name} must be {'Hermitian' if hermitian else 'symmetric'}")
     return half + half_t
 
@@ -271,7 +280,7 @@ class Weight:
     def __post_init__(self):
         self.h = _check_symmetric(self.h, "h", hermitian=True)
         n = self.h.shape[0]
-        eigs = np.linalg.eigvalsh(self.h)
+        eigs = _lapack.eigvalsh(self.h)
         if eigs[0] <= _DEGENERACY_TOL * eigs[-1]:
             raise ValueError(
                 f"weight is not strictly plurisubharmonic: min Levi eigenvalue {eigs[0]:.3e}"
@@ -293,7 +302,7 @@ class Weight:
     def is_hermitian(self) -> bool:
         """True when the pluriharmonic part vanishes relative to the Levi
         form; the test is scale-free, as H is never zero."""
-        return float(np.max(np.abs(self.p))) <= 1e-14 * float(np.max(np.abs(self.h)))
+        return not self.p.any() or float(abs(self.p).max()) <= 1e-14 * float(abs(self.h).max())
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=complex)
@@ -307,6 +316,14 @@ class Weight:
     def as_form(self) -> ComplexQuadraticForm:
         """The weight rewritten as a complex quadratic form in (x, xbar)."""
         return ComplexQuadraticForm(self.p.copy(), self.h.copy(), np.conj(self.p))
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """np.eye(n), one read-only array per dimension."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 @functools.cache
@@ -327,12 +344,17 @@ def _record(cls, **fields):
 
 @dataclass
 class Admissibility:
-    """Outcome of the two admissibility checks for a (weight, form) pair."""
+    """Outcome of the two admissibility checks for a (weight, form) pair.
+
+    ``mixed_singular_values`` are those of 2H - Qxbx, descending, when the
+    check got that far; the coherent route reads its a11 margin off them.
+    """
 
     ok: bool
     herm_margin: float
     det_margin: float
     failures: list = field(default_factory=list)
+    mixed_singular_values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -355,14 +377,17 @@ def check_admissible(weight: Weight, q: ComplexQuadraticForm, tol=None) -> Admis
     with np.errstate(over="ignore", invalid="ignore"):
         gap = realify(-q.qxx, weight.h - q.qxbx, -q.qxbxb)
         d = 2.0 * weight.h - q.qxbx
-        det = abs(np.linalg.det(d))
-    if not (np.isfinite(gap).all() and np.isfinite(det)):
+        det = abs(_lapack.det(d))
+    if not (np.isfinite(gap).all() and math.isfinite(det)):
         raise NumericalFailure("admissibility check overflows double precision")
-    eigs = np.linalg.eigvalsh(gap)
-    scale = float(np.max(np.abs(eigs))) if np.max(np.abs(eigs)) > 0 else 1.0
-    herm_margin = float(eigs[0])
+    herm_margin, scale = _ends(_lapack.eigvalsh(gap))
+    if not scale > 0:
+        scale = 1.0
 
-    dscale = float(np.linalg.norm(d, 2))
+    # the scale is the largest singular value, as np.linalg.norm(d, 2) takes
+    # it; the values are kept for the coherent route's a11 margin
+    sv = _lapack.svdvals(d)
+    dscale = float(sv[0])
     try:
         det_margin = float(det / max(dscale, 1e-300) ** weight.n)
     except OverflowError:
@@ -377,5 +402,5 @@ def check_admissible(weight: Weight, q: ComplexQuadraticForm, tol=None) -> Admis
         failures.append(
             f"mixed Hessian of 2*Phi - q is numerically singular (margin {det_margin:.3e})"
         )
-    return Admissibility(not failures, herm_margin, det_margin, failures)
+    return Admissibility(not failures, herm_margin, det_margin, failures, sv)
 

@@ -32,17 +32,25 @@ _YAML_LOADER = None
 # The canonical form: `key: value` lines of schema keys, nested keys at
 # indent 2, each value one number or a one-line flow sequence at most three
 # deep, every number a JSON number that YAML 1.1 resolves to the same int or
-# float.  Every number is followed by a delimiter and the nesting is spelled
-# out, so a match takes time linear in the line and json.loads never
+# float.  A line is a key, the text after it up to a comment, and the
+# comment; the value is that text without its surrounding spaces, so no
+# space is left for two parts of a pattern to share.  One flat pattern
+# checks the value: it holds only the characters of numbers and sequences,
+# with brackets that close and nest at most three deep.  json.loads then
+# parses it, after the one rule of YAML 1.1 floats that JSON lacks: an
+# exponent follows a fraction and has a sign (YAML reads 1e5 and 1.0e5 as
+# strings).  Each check takes time linear in the line, and json.loads never
 # recurses deeper than three.
-_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+][0-9]+)?)?"
-_VALUE = _NUMBER
+_CHARS = r"[-+.,0-9eE ]*"
+_NESTED = _CHARS
 for _ in range(3):
-    _VALUE = rf"(?:{_NUMBER}|\[ *(?:{_VALUE} *(?:, *{_VALUE} *)*)?\])"
+    _NESTED = rf"{_CHARS}(?:\[{_NESTED}\]{_CHARS})*"
+_VALUE = re.compile(_NESTED)
 _KEY_LINE = re.compile(
     r"(  )?(n|phi0|hermitian|pluriharmonic|q|xx|xbarx|xbarxbar|tolerances|classification):"
-    rf"(?: +({_VALUE}))?(?: +#[ -~]*| *)")
+    r"( [^#]*)?(#[ -~]*)?")
 _BLANK_LINE = re.compile(r" *(?:#[ -~]*)?")
+_SIGNED_EXPONENT = re.compile(r"\.[0-9]+[eE][-+]")
 
 
 def _read_canonical(text: str) -> dict | None:
@@ -61,7 +69,13 @@ def _read_canonical(text: str) -> dict | None:
             if _BLANK_LINE.fullmatch(line):
                 continue
             return None
-        indent, key, value = match.groups()
+        indent, key, rest, comment = match.groups()
+        rest = rest or ""
+        if comment is not None and not rest.endswith(" "):
+            return None  # YAML reads a # after a non-space as text
+        value = rest.strip(" ")
+        if value and _VALUE.fullmatch(value) is None:
+            return None
         if indent:
             target = block
         elif block == {}:  # the previous key has neither a value nor nested lines
@@ -70,10 +84,13 @@ def _read_canonical(text: str) -> dict | None:
             target, block = data, None
         if target is None or key in target:
             return None
-        if value is not None:
+        if value:
+            exponents = value.count("e") + value.count("E")
+            if exponents and len(_SIGNED_EXPONENT.findall(value)) != exponents:
+                return None
             try:
                 target[key] = json.loads(value)
-            except ValueError:  # an integer past int's digit limit
+            except ValueError:  # not a JSON value, or an integer past int's digit limit
                 return None
         elif indent:
             return None
@@ -130,9 +147,18 @@ def _complex_entry(value, where: str) -> complex:
         raise ProblemFileError(f"{where}: integer too large for a float") from exc
 
 
-def _complex_matrix(rows, n: int, where: str) -> np.ndarray:
+def _complex_matrix(rows, n: int, where: str, numbers: bool = False) -> np.ndarray:
     # one conversion when every entry is an [re, im] pair of numbers; the
-    # per-entry path below names the first entry that is not
+    # per-entry path below names the first entry that is not.  ``numbers``
+    # says that every scalar in ``rows`` is an int or a float, as in a
+    # canonical document, so the conversion need only check the shape
+    if numbers:
+        try:
+            values = np.array(rows, dtype=float)
+        except (ValueError, OverflowError):  # ragged, or an integer past the float range
+            values = None
+        if values is not None and values.shape == (n, n, 2):
+            return values.view(complex).reshape(n, n)
     if isinstance(rows, list) and len(rows) == n and all(
             isinstance(row, list) and len(row) == n for row in rows):
         entries = [entry for row in rows for entry in row]
@@ -192,8 +218,9 @@ def _too_deep(text: str) -> bool:
     return False
 
 
-def _read_problem_data(path: str):
-    """The document of a problem file: canonical form, else PyYAML's."""
+def _read_document(path: str) -> tuple:
+    """(the document of a problem file, whether it is in canonical form):
+    the canonical reader's document, else PyYAML's."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -203,12 +230,12 @@ def _read_problem_data(path: str):
         raise ProblemFileError(f"{path}: not valid YAML: {exc}") from exc
     data = _read_canonical(text)
     if data is not None:
-        return data
+        return data, True
     if _too_deep(text):
         raise ProblemFileError(f"{path}: not valid YAML: nested deeper than {_MAX_NESTING} levels")
     yaml = _yaml()
     try:
-        return yaml.load(text, Loader=_YAML_LOADER)
+        return yaml.load(text, Loader=_YAML_LOADER), False
     except (yaml.YAMLError, ValueError) as exc:
         # one line: the problem and where PyYAML marks it; a ReaderError, and
         # the ValueError of a tagged scalar such as !!float abc, have no mark
@@ -225,7 +252,7 @@ def load_problem(path: str) -> ToeplitzProblem:
     problem's tolerance and governs its admissibility check and its
     classification.
     """
-    data = _read_problem_data(path)
+    data, numbers = _read_document(path)
     if not isinstance(data, dict):
         raise ProblemFileError(f"{path}: top level must be a mapping")
     if "n" not in data:
@@ -236,15 +263,15 @@ def load_problem(path: str) -> ToeplitzProblem:
     phi = data.get("phi0")
     if not isinstance(phi, dict) or "hermitian" not in phi:
         raise ProblemFileError("phi0.hermitian: field is required")
-    h = _complex_matrix(phi["hermitian"], n, "phi0.hermitian")
+    h = _complex_matrix(phi["hermitian"], n, "phi0.hermitian", numbers)
     zero = [[[0.0, 0.0]] * n for _ in range(n)]
-    p = _complex_matrix(phi.get("pluriharmonic", zero), n, "phi0.pluriharmonic")
+    p = _complex_matrix(phi.get("pluriharmonic", zero), n, "phi0.pluriharmonic", numbers)
     qdata = data.get("q", {})
     if not isinstance(qdata, dict):
         raise ProblemFileError("q: must be a mapping")
-    qxx = _complex_matrix(qdata.get("xx", zero), n, "q.xx")
-    qxbx = _complex_matrix(qdata.get("xbarx", zero), n, "q.xbarx")
-    qxbxb = _complex_matrix(qdata.get("xbarxbar", zero), n, "q.xbarxbar")
+    qxx = _complex_matrix(qdata.get("xx", zero), n, "q.xx", numbers)
+    qxbx = _complex_matrix(qdata.get("xbarx", zero), n, "q.xbarx", numbers)
+    qxbxb = _complex_matrix(qdata.get("xbarxbar", zero), n, "q.xbarxbar", numbers)
     tol = _file_tolerance(data)
     try:
         weight = Weight(h, p)

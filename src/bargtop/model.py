@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InadmissibleProblem
-from .forms import ComplexQuadraticForm, _model_weight
+from .forms import ComplexQuadraticForm, _identity, _model_weight
 from .symplectic import LinearCanonicalMap
 from .toeplitz import (
     AGREEMENT_BAND,
@@ -85,16 +85,16 @@ def detect_model(problem: ToeplitzProblem) -> ModelInstance | None:
     n, tol = problem.n, 1e-12
     w = problem.weight
     if w is not _model_weight(n):  # a normal form's weight is |x|^2/4 exactly
-        scale_h = np.max(np.abs(w.h)) + 1.0
-        if np.max(np.abs(w.h - np.eye(n) / 4.0)) > tol * scale_h or not w.is_hermitian:
+        scale_h = abs(w.h).max() + 1.0
+        if abs(w.h - _identity(n) / 4.0).max() > tol * scale_h or not w.is_hermitian:
             return None
     q = problem.q
-    xx, xbx = np.abs(q.qxx).max(), np.abs(q.qxbx).max()
-    scale_q = max(xx, xbx, np.abs(q.qxbxb).max(), 1.0)
+    xx, xbx = abs(q.qxx).max(), abs(q.qxbx).max()
+    scale_q = max(xx, xbx, abs(q.qxbxb).max(), 1.0)
     if xx > tol * scale_q:
         return None
-    lam = complex(np.trace(q.qxbx) / n)
-    if np.abs(q.qxbx - lam * np.eye(n)).max() > tol * scale_q:
+    lam = complex(q.qxbx.trace() / n)
+    if abs(q.qxbx - lam * _identity(n)).max() > tol * scale_q:
         return None
     return ModelInstance(n, lam, q.qxbxb / 2.0)
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import ConstructionResidual, DegeneratePhase, NumericalFailure
-from .forms import Weight, _model_weight, classify_eigenvalues, interleave, realify
+from .forms import Weight, _identity, _model_weight, classify_eigenvalues, interleave, realify
 
 __all__ = [
     "PhasePoint",
@@ -105,9 +106,7 @@ class LinearCanonicalMap:
 
     def symplectic_residual(self) -> float:
         j = symplectic_form_matrix(self.n)
-        return float(
-            np.abs(self.k.T @ j @ self.k - j).max() / max(1.0, np.abs(self.k).max() ** 2)
-        )
+        return float(abs(self.k.T @ j @ self.k - j).max() / max(1.0, abs(self.k).max() ** 2))
 
     def apply(self, rho):
         if isinstance(rho, PhasePoint):
@@ -229,22 +228,25 @@ def canonical_from_phase(phase: QuadraticPhase) -> LinearCanonicalMap:
     linear system for (x, theta); singularity of that system means the
     phase is degenerate.
     """
-    n, b = phase.n, phase.block
+    n, hess = phase.n, phase.hess
+    # the rows and columns of the x, y and theta blocks
+    x, y, t = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
     a = np.empty((2 * n, 2 * n), dtype=complex)
-    a[:n, :n], a[:n, n:], a[n:, :n], a[n:, n:] = b("t", "x"), b("t", "t"), b("y", "x"), b("y", "t")
-    sv = np.linalg.svd(a, compute_uv=False)
+    a[:n, :n], a[:n, n:], a[n:, :n], a[n:, n:] = hess[t, x], hess[t, t], hess[y, x], hess[y, t]
+    sv = _lapack.svdvals(a)
     if sv[-1] <= 1e-12 * sv[0]:
         ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0
         raise DegeneratePhase(
             f"critical system of the phase is singular (sigma_min/sigma_max = {ratio:.3e})"
         )
     rhs = np.zeros_like(a)
-    rhs[:n, :n], rhs[n:, :n], rhs[n:, n:] = -b("t", "y"), -b("y", "y"), -np.eye(n)
-    sol = np.linalg.solve(a, rhs)          # rows: x then theta, columns: (y, eta)
+    rhs[:n, :n], rhs[n:, :n], rhs[n:, n:] = -hess[t, y], -hess[y, y], -_identity(n)
+    sol = _lapack.solve(a, rhs)          # rows: x then theta, columns: (y, eta)
     x_of = sol[:n]
     t_of = sol[n:]
-    xi_of = b("x", "x") @ x_of + b("x", "t") @ t_of + np.hstack([b("x", "y"), np.zeros((n, n))])
-    return LinearCanonicalMap(np.vstack([x_of, xi_of]))
+    xi_of = (hess[x, x] @ x_of + hess[x, t] @ t_of
+             + np.concatenate((hess[x, y], np.zeros((n, n))), axis=1))
+    return LinearCanonicalMap(np.concatenate((x_of, xi_of)))
 
 
 @dataclass
@@ -282,9 +284,9 @@ def positivity_certificate(
     if kmap.n != iota.n:
         raise ValueError("dimension mismatch between map and involution")
     j = symplectic_form_matrix(kmap.n)
-    w = (kmap.k.T @ j @ iota.m @ np.conj(kmap.k) - iota.jm) / 1j
-    scale_w = max(1.0, float(np.abs(w).max()))
-    herm_res = float(np.abs(w - w.conj().T).max() / scale_w)
+    w = (kmap.k.T @ j @ iota.m @ kmap.k.conj() - iota.jm) / 1j
+    scale_w = max(1.0, float(abs(w).max()))
+    herm_res = float(abs(w - w.conj().T).max() / scale_w)
     if herm_res > 1e-10:
         raise NumericalFailure(
             f"certificate form has imaginary residue {herm_res:.3e}; inputs are inconsistent"
@@ -293,6 +295,6 @@ def positivity_certificate(
     # rho^T W conj(rho) = conj(rho).W^T rho
     zero = np.zeros_like(w)
     pmat = realify(zero, w.T, zero)
-    eigs = np.linalg.eigvalsh(pmat)
+    eigs = _lapack.eigvalsh(pmat)
     label, margin, scale = classify_eigenvalues(eigs, tol)
     return PositivityCertificate(pmat, eigs, label, margin, scale, herm_res)

@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _lapack
 from .errors import DisagreementError, InadmissibleProblem, NumericalFailure
 from .forms import (
     Admissibility,
     ComplexQuadraticForm,
     Weight,
+    _identity,
     _model_weight,
     _record,
     check_admissible,
@@ -85,13 +87,13 @@ class ToeplitzProblem:
         self.tol = classification_tolerance() if tol is None else tol
         n = weight.n
         model = _model_weight(n)
-        if weight is model or (np.array_equal(weight.h, model.h) and not weight.p.any()):
-            self.frame = self.frame_inv = np.eye(n)
+        if weight is model or ((weight.h == model.h).all() and not weight.p.any()):
+            self.frame = self.frame_inv = _identity(n)
             self.normal = self
             self.admissibility: Admissibility = check_admissible(weight, q, self.tol)
         else:
-            self.frame = 2.0 * np.linalg.cholesky(weight.h).conj().T
-            self.frame_inv = np.linalg.inv(self.frame)
+            self.frame = 2.0 * _lapack.cholesky(weight.h).conj().T
+            self.frame_inv = _lapack.inv(self.frame)
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     q_normal = ComplexQuadraticForm(*_pull_back(q, self.frame_inv))
@@ -214,8 +216,8 @@ def _symbol_to_file(problem: ToeplitzProblem, symbol: WeylSymbol) -> WeylSymbol:
     xx, xbx, xbxb = _pull_back(symbol.g, problem.frame)
     # symmetric up to rounding; symmetrized as a validated form would be
     xx, xbxb = xx / 2.0, xbxb / 2.0
-    return replace(symbol, g=_record(ComplexQuadraticForm, qxx=xx + xx.T, qxbx=xbx,
-                                     qxbxb=xbxb + xbxb.T))
+    g = _record(ComplexQuadraticForm, qxx=xx + xx.T, qxbx=xbx, qxbxb=xbxb + xbxb.T)
+    return type(symbol)(symbol.log_c, g)
 
 
 def _exponent_to_file(problem: ToeplitzProblem, f: BergmanForm) -> BergmanForm:
@@ -259,7 +261,7 @@ def classify_operator(problem: ToeplitzProblem) -> Verdict:
     symbol = weyl.normal_symbol(normal.q)
     witnesses["weyl"] = weyl.symbol_subverdict(symbol, tol)
 
-    f = bergman.normal_exponent(normal.q)
+    f = bergman.normal_exponent(normal.q, problem.admissibility.mixed_singular_values)
     witnesses["bergman"] = bergman.growth_subverdict(f, normal.weight, tol)
 
     instance = model.detect_model(normal)

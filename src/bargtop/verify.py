@@ -48,6 +48,7 @@ __all__ = [
     "factorization_residual",
     "weyl_evidence",
     "coherent_slope",
+    "coherent_scale",
     "coherent_evidence",
 ]
 
@@ -205,7 +206,10 @@ def weyl_evidence(problem: ToeplitzProblem) -> dict:
 def coherent_slope(problem: ToeplitzProblem, radii) -> tuple:
     """(log-norms, slope): the log-norms of the operator applied to the
     normalized coherent states at r e_1 for r in ``radii``, and the slope of
-    their least-squares line in r^2.
+    their least-squares line in r^2.  The line is fitted in (r / f)^2, f
+    from :func:`coherent_scale`, and its slope divided by f^2, so radii far
+    from unit scale neither overflow the fit nor lose it to rounding; f is a
+    power of two, and 1 at unit scale.
 
     The norms come from one :func:`oracle.coherent_norms` call, which
     sets up the problem's two completed squares once, and each log-norm
@@ -214,17 +218,31 @@ def coherent_slope(problem: ToeplitzProblem, radii) -> tuple:
     e1 = np.eye(problem.n, dtype=complex)[0]
     norms = oracle.coherent_norms(problem, [r * e1 for r in radii])
     logs = [float(np.log(norm)) for norm in norms]
-    return logs, float(np.polyfit(np.asarray(radii) ** 2, logs, 1)[0])
+    scale = coherent_scale(problem)
+    fit = np.polyfit((np.asarray(radii) / scale) ** 2, logs, 1)[0]
+    return logs, float(fit / scale ** 2)
+
+
+def coherent_scale(problem: ToeplitzProblem) -> float:
+    """f = 2^-round(log2(4 lambda_max(H)) / 2), the power of two that takes
+    the Levi form to unit scale: Phi(r f e_1) is of the order of r^2 / 4,
+    and f = 1 near H = I/4."""
+    top = float(np.linalg.eigvalsh(problem.weight.h)[-1])
+    return 2.0 ** -round((math.log2(top) + 2.0) / 2.0)
 
 
 def coherent_evidence(problem: ToeplitzProblem) -> dict:
     """The coherent log-norm slope next to the slope the Bergman growth
-    exponent predicts, half its value at e_1 (``"inf"`` when unbounded)."""
-    logs, slope = coherent_slope(problem, COHERENT_RADII)
+    exponent predicts, half its value at e_1 (``"inf"`` when unbounded).
+
+    The radii are ``COHERENT_RADII`` times :func:`coherent_scale`, so the
+    fit sees log-norms of order one at any scale of the Levi form."""
+    radii = [r * coherent_scale(problem) for r in COHERENT_RADII]
+    logs, slope = coherent_slope(problem, radii)
     # the coherent norms refused a pluriharmonic part: the weight is Hermitian
     growth = bergman.growth_exponent(bergman.bergman_exponent(problem), problem.weight,
                                      np.eye(problem.n, dtype=complex)[0])
-    return {"experiment": "coherent", "radii": list(COHERENT_RADII), "log_norms": logs,
+    return {"experiment": "coherent", "radii": radii, "log_norms": logs,
             "slope": slope, "predicted_slope": growth / 2.0 if math.isfinite(growth) else "inf"}
 
 

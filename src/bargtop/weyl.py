@@ -20,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import ResolventSingular
 from .forms import (
     ComplexQuadraticForm,
+    _identity,
     _record,
     classify_real_form,
     real_part_matrix,
@@ -68,17 +70,18 @@ def normal_symbol(q: ComplexQuadraticForm) -> WeylSymbol:
     n = q.n
     qmat = np.empty((2 * n, 2 * n), dtype=complex)
     qmat[:n, :n], qmat[:n, n:], qmat[n:, :n], qmat[n:, n:] = q.qxx, q.qxbx.T, q.qxbx, q.qxbxb
-    resolvent = np.eye(2 * n) - np.concatenate((qmat[n:], qmat[:n]))
-    sv = np.linalg.svd(resolvent, compute_uv=False)
+    resolvent = _identity(2 * n) - np.concatenate((qmat[n:], qmat[:n]))
+    sv = _lapack.svdvals(resolvent)
     if sv[-1] <= 1e-12 * max(sv[0], 1.0):
         raise ResolventSingular(
             "heat-flow resolvent is singular; the Weyl symbol is not a finite Gaussian"
         )
-    g2 = qmat @ np.linalg.inv(resolvent)
+    g2 = qmat @ _lapack.inv(resolvent)
     g2 = (g2 + g2.T) / 2.0
     g = _record(ComplexQuadraticForm, qxx=g2[:n, :n], qxbx=g2[n:, :n], qxbxb=g2[n:, n:])
-    sign, logabs = np.linalg.slogdet(resolvent)
-    log_c = -0.5 * (logabs + 1j * np.angle(sign))
+    sign, logabs = _lapack.slogdet(resolvent)
+    # the phase of sign: np.angle is this arctan2, so the bits are its
+    log_c = -0.5 * (logabs + 1j * np.arctan2(sign.imag, sign.real))
     return WeylSymbol(log_c, g)
 
 

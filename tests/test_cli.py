@@ -853,10 +853,12 @@ class TestOracleCommand:
         assert len(norms) == 1 and np.isfinite(norms[0])
 
     def test_coherent_norm_out_of_range_exits_three(self, tmp_path):
-        # Phi(e_1) = 200 and |gamma| = 5/3: the log-norm grows by about 356
-        # per unit of |w|^2, and the norm at 2 e_1 passes the float maximum
+        # q = 0.4995 x^2 / 2 on |x|^2 / 4, close to the admissibility limit
+        # 1/2: the log-norm grows by about 250 per unit of |w|^2, and the
+        # norm at 2 e_1 passes the float maximum (the radii follow the scale
+        # of the Levi form, so a dilated file no longer gets there)
         path = tmp_path / "p.yaml"
-        path.write_text("n: 1\nphi0:\n  hermitian: [[[200.0, 0.0]]]\nq:\n  xbarx: [[[160.0, 0.0]]]\n")
+        path.write_text("n: 1\nphi0:\n  hermitian: [[[0.25, 0.0]]]\nq:\n  xx: [[[0.4995, 0.0]]]\n")
         proc = run_capped("oracle", str(path), "--experiment", "coherent")
         assert proc.returncode == 3, proc.stderr
         assert proc.stdout == ""

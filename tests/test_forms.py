@@ -254,6 +254,73 @@ class TestRealForm:
         assert np.array_equal(got, got.T)
 
 
+class TestLapack:
+    """The gufunc calls of the classify path against np.linalg, bit for bit."""
+
+    @staticmethod
+    def bits(x):
+        x = np.asarray(x)
+        return x.dtype, x.shape, x.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), real=st.booleans())
+    def test_same_results_as_np_linalg(self, n, seed, real):
+        from bargtop import _lapack
+
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) + (0.0 if real else 1j) * rng.standard_normal((n, n))
+        a[rng.random((n, n)) < 0.2] = -0.0  # zeros, and their signs, reach LAPACK too
+        herm = a + a.conj().T
+        pd = herm @ herm.conj().T + np.eye(n)
+        cases = [
+            (_lapack.eigvalsh(herm), np.linalg.eigvalsh(herm)),
+            (_lapack.svdvals(a), np.linalg.svd(a, compute_uv=False)),
+            (_lapack.svdvals(a[: n // 2 + 1, : n // 2 + 1]),
+             np.linalg.svd(a[: n // 2 + 1, : n // 2 + 1], compute_uv=False)),
+            (_lapack.inv(pd), np.linalg.inv(pd)),
+            (_lapack.solve(pd, a), np.linalg.solve(pd, a)),
+            (_lapack.cholesky(pd), np.linalg.cholesky(pd)),
+            (_lapack.det(a), np.linalg.det(a)),
+            (_lapack.slogdet(a)[0], np.linalg.slogdet(a)[0]),
+            (_lapack.slogdet(a)[1], np.linalg.slogdet(a)[1]),
+        ]
+        for got, want in cases:
+            assert self.bits(got) == self.bits(want)
+
+    def test_empty_matrix_is_semidefinite(self):
+        from bargtop.forms import classify_real_form
+
+        assert classify_real_form(np.zeros((0, 0))) == ("semidefinite", 0.0, 0.0)
+
+    def test_failed_factorization_raises(self):
+        from bargtop import _lapack
+
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericalFailure, match="LAPACK"):
+            _lapack.inv(np.zeros((2, 2)))
+
+    def test_this_numpy_has_every_gufunc(self):
+        # a NumPy that renamed one would still classify, through np.linalg
+        from bargtop import _lapack
+
+        for names in [("eigvalsh_lo",), ("svd", "svd_n"), ("inv",), ("solve",), ("cholesky_lo",),
+                      ("det",), ("slogdet",)]:
+            assert any(hasattr(_lapack._gufuncs, name) for name in names), names
+
+    def test_missing_gufunc_falls_back_to_np_linalg(self):
+        from bargtop import _lapack
+
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        pd = a @ a.conj().T + np.eye(3)
+        inv = _lapack._bound(("no_such_gufunc",), "d->d", "D->D", np.linalg.inv)
+        svdvals = _lapack._bound(("no_such_gufunc",), "d->d", "D->d",
+                                 lambda m: np.linalg.svd(m, compute_uv=False))
+        assert self.bits(inv(pd)) == self.bits(_lapack.inv(pd))
+        assert self.bits(svdvals(a)) == self.bits(_lapack.svdvals(a))
+        with pytest.raises(NumericalFailure, match="LAPACK no_such_gufunc failed"):
+            inv(np.zeros((2, 2)))
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("block", ["h", "p", "qxx", "qxbx", "qxbxb"])

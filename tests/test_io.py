@@ -80,7 +80,7 @@ def read_both(tmp_path, text, loader):
     out = []
     try:
         with mock.patch.object(io, "_YAML_LOADER", loader):
-            out.append(canonical(io._read_problem_data(str(path))))
+            out.append(canonical(io._read_document(str(path))[0]))
     except ProblemFileError as exc:
         assert str(exc).startswith(f"{path}: not valid YAML: ") and "\n" not in str(exc)
         out.append("error")
@@ -150,7 +150,7 @@ class TestLoader:
         assert read == loaded
         path = tmp_path / "p.yaml"
         with mock.patch.object(io, "_YAML_LOADER", loader):
-            data = io._read_problem_data(str(path))
+            data = io._read_document(str(path))[0]
         assert data["one"] == {"x": -2.5, "y": data["all"], "w": 1}
         assert data["base"]["y"] is data["all"]
         assert [type(v).__name__ for v in data["all"][:8]] == ["str"] * 2 + ["float"] * 6
@@ -168,7 +168,7 @@ class TestLoader:
         path.write_text("a: " + "[" * 3000 + "1.5" + "]" * 3000 + "\n")
         with mock.patch.object(io, "_YAML_LOADER", yaml.CSafeLoader):
             with pytest.raises(ProblemFileError, match="nested deeper than 64 levels"):
-                io._read_problem_data(str(path))
+                io._read_document(str(path))[0]
 
     @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
     def test_syntax_error_is_one_line(self, tmp_path, capsys, loader):
@@ -206,11 +206,11 @@ numbers = (
 )
 
 
-def flow(items):
+def flow(items, pads=spaces):
     def text(parts):
         inner, pad = parts
         return "[" + (",".join(a + v + b for a, v, b in inner) if inner else pad) + "]"
-    return st.tuples(st.lists(st.tuples(spaces, items, spaces), max_size=3), spaces).map(text)
+    return st.tuples(st.lists(st.tuples(pads, items, pads), max_size=3), pads).map(text)
 
 
 # one number, or a flow sequence at most three deep
@@ -222,12 +222,12 @@ fillers = st.lists(st.sampled_from(["", "  ", "# note", "   # indented: [1]", "#
 
 
 @st.composite
-def canonical_documents(draw):
+def canonical_documents(draw, values=values, separators=(" ", "  "), trailers=trailers):
     """Text in canonical form, comments and blank lines included."""
     lines = draw(fillers)
     for key in draw(st.lists(st.sampled_from(SCHEMA_KEYS), min_size=1, max_size=5, unique=True)):
         if draw(st.booleans()):
-            lines.append(f"{key}:{draw(st.sampled_from([' ', '  ']))}{draw(values)}{draw(trailers)}")
+            lines.append(f"{key}:{draw(st.sampled_from(separators))}{draw(values)}{draw(trailers)}")
         else:
             lines.append(f"{key}:{draw(trailers)}")
             nested = draw(st.lists(st.sampled_from(SCHEMA_KEYS), min_size=1, max_size=3, unique=True))
@@ -283,7 +283,78 @@ README_EXAMPLE = re.search(r"```yaml\n(.*?)```", (Path(__file__).parents[1] / "R
                            re.DOTALL).group(1)
 
 
+# The reader's grammar as one nested pattern, spelled out three levels
+# deep: the reference the flat character test and json.loads must match.
+_REFERENCE_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+][0-9]+)?)?"
+_REFERENCE_VALUE = _REFERENCE_NUMBER
+for _ in range(3):
+    _REFERENCE_VALUE = (rf"(?:{_REFERENCE_NUMBER}|\[ *(?:{_REFERENCE_VALUE} *"
+                        rf"(?:, *{_REFERENCE_VALUE} *)*)?\])")
+_REFERENCE_KEY_LINE = re.compile(
+    r"(  )?(n|phi0|hermitian|pluriharmonic|q|xx|xbarx|xbarxbar|tolerances|classification):"
+    rf"(?: +({_REFERENCE_VALUE}))?(?: +#[ -~]*| *)")
+
+
+def reference_read_canonical(text):
+    """The canonical reader with its values checked by the nested pattern."""
+    if not text.isascii() or not text.endswith("\n"):
+        return None
+    data, block = {}, None
+    for line in text[:-1].split("\n"):
+        match = _REFERENCE_KEY_LINE.fullmatch(line)
+        if match is None:
+            if re.fullmatch(r" *(?:#[ -~]*)?", line):
+                continue
+            return None
+        indent, key, value = match.groups()
+        if indent:
+            target = block
+        elif block == {}:
+            return None
+        else:
+            target, block = data, None
+        if target is None or key in target:
+            return None
+        if value is not None:
+            try:
+                target[key] = json.loads(value)
+            except ValueError:
+                return None
+        elif indent:
+            return None
+        else:
+            block = target[key] = {}
+    if not data or block == {}:
+        return None
+    return data
+
+
+# numbers, spacing and nesting on both sides of the grammar's edges
+edge_numbers = numbers | st.sampled_from(
+    ["1e5", "1.0e5", "1.0E+05", "1.5e-05", "-0", "01", "1.", "1" + "0" * 4999, "1.5e", "1.5e+",
+     "2.5E-7", "-", "0.5.5", "1e-5", "1.0e+5e+5"])
+edge_spaces = st.sampled_from(["", " ", "  ", "\t"])
+edge_values = edge_numbers | st.just("[[[[1]]]]")
+for _ in range(4):
+    edge_values = edge_numbers | flow(edge_values, edge_spaces)
+edge_separators = ("", " ", "  ", "      ", "\t", " \t")
+edge_trailers = trailers | st.sampled_from(["#", "# x", "      ", "      # x", "\t", " \t# x", " x"])
+
+
 class TestCanonicalReader:
+    @settings(max_examples=300, deadline=None)
+    @given(text=canonical_documents(edge_values, edge_separators, edge_trailers) | canonical_documents()
+           | mutated_documents())
+    def test_reads_what_the_nested_grammar_reads(self, text):
+        # the flat test and json.loads accept what the nested pattern
+        # accepts, and give what yaml.load gives
+        data = assert_reads_as_yaml(text)
+        reference = reference_read_canonical(text)
+        event("read" if data is not None else "left to PyYAML")
+        assert (data is None) == (reference is None)
+        if data is not None:
+            assert canonical(data) == canonical(reference)
+
     @settings(max_examples=100, deadline=None)
     @given(text=canonical_documents())
     def test_accepts_the_grammar_as_yaml_reads_it(self, text):
@@ -344,7 +415,12 @@ class TestCanonicalReader:
         "xx: " + "[" * 10**5 + "]" * 10**5 + "\n",
         "xx: " + "[1, " * 10**5 + "\n",
         "xx: [[[1" + "0" * 4300 + ", 0.0]]]\n",
-    ], ids=["digit-run", "backtracking", "nesting", "unclosed", "int-digit-limit"])
+        "xx:" + " " * 10**5 + "x\n",
+        "xx: 1" + " " * 10**5 + "x\n",
+        "xx: [[[" + " " * 10**5 + "x\n",
+        "xx: 1" + " " * 10**5 + "#\x01\n",
+    ], ids=["digit-run", "backtracking", "nesting", "unclosed", "int-digit-limit",
+            "space-run", "space-run-after-value", "space-run-in-brackets", "space-run-before-comment"])
     def test_linear_time_on_hostile_values(self, text):
         start = time.perf_counter()
         assert io._read_canonical(text) is None
@@ -425,6 +501,19 @@ class TestMatrices:
                          min_size=n - 1, max_size=n + 1)
         rows = data.draw(square(self.numbers) | square(self.scalars) | mixed)
         assert outcome(io._complex_matrix, rows, n, "m") == outcome(reference_matrix, rows, n, "m")
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 3), data=st.data())
+    def test_numbers_path_equals_per_entry_path(self, n, data):
+        # the scalars of a canonical document are ints and floats, in any shape
+        scalar = self.numbers | st.just(10**400)
+        pairs = st.lists(scalar, min_size=2, max_size=2)
+        square = st.lists(st.lists(pairs, min_size=n, max_size=n), min_size=n, max_size=n)
+        shaped = st.lists(st.lists(st.lists(scalar, max_size=3) | scalar, min_size=n - 1,
+                                   max_size=n + 1), min_size=n - 1, max_size=n + 1)
+        rows = data.draw(square | shaped | scalar)
+        assert (outcome(io._complex_matrix, rows, n, "m", True)
+                == outcome(reference_matrix, rows, n, "m"))
 
     def test_oversized_integer_exits_two(self, tmp_path, capsys):
         path = tmp_path / "p.yaml"

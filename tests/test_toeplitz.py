@@ -186,6 +186,34 @@ class TestNormalForm:
         assert problem.admissibility is problem.normal.admissibility
         assert problem.normal.normal is problem.normal
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_one_svd_of_the_mixed_block(self, monkeypatch, n):
+        # the admissibility scale ||I/2 - q'xbx||_2 and the coherent route's
+        # a11 margin are both read off one SVD of that matrix, through
+        # whichever path takes singular values
+        import importlib
+
+        from bargtop import _lapack
+        from bargtop.forms import _model_weight
+
+        drawn = random_admissible_problem(np.random.default_rng(30 + n), n, pluriharmonic=True)
+        seen = []
+
+        def counting(fn):
+            def wrapper(m, *args, **kwargs):
+                seen.append(np.array(m))
+                return fn(m, *args, **kwargs)
+            return wrapper
+
+        # the module whose svd np.linalg.norm calls
+        impl = importlib.import_module(getattr(np.linalg.svd, "__wrapped__", np.linalg.svd).__module__)
+        for module, name in ((_lapack, "svdvals"), (np.linalg, "svd"), (impl, "svd")):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        problem = ToeplitzProblem(drawn.weight, drawn.q)  # admissibility is checked here
+        assert classify_operator(problem).verdict is not VerdictClass.INADMISSIBLE
+        d = 2.0 * _model_weight(n).h - problem.normal.q.qxbx
+        assert sum(m.shape == d.shape and np.array_equal(m, d) for m in seen) == 1
+
     def test_report_quantities_in_file_coordinates(self):
         # the verdict's K against the general construction on the problem as
         # given, and its Weyl symbol and coherent exponent against the
