@@ -5,8 +5,9 @@ The package classifies Top(e^q) on H_Phi as unbounded, bounded, or
 compact by four mutually validating routes: positivity of the attached
 complex canonical transformation, the sign of the Weyl-symbol exponent,
 growth of the operator on coherent states, and a closed-form solvable
-family; a quadrature oracle provides brute-force evidence at small
-dimension.
+family.  A brute-force oracle provides evidence: Galerkin sections at
+n <= 2, and the Weyl heat flow and coherent-state norms as completed
+Gaussian squares at every dimension.
 """
 
 from .errors import (
@@ -65,11 +66,11 @@ from .model import (
 )
 from .oracle import (
     TruncatedOperator,
-    numeric_coherent_norm,
-    numeric_weyl,
+    coherent_norms,
     norm_trend,
     singular_decay,
     truncated_matrix,
+    weyl_convolutions,
 )
 from .verify import build_phase, canonical_map, coherent_route_map
 

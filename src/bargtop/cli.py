@@ -325,7 +325,7 @@ def _parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run cross-validation suites")
     p_verify.add_argument("--suite", choices=sorted(verify.SUITES), default=None)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--n", type=int, choices=(1, 2), default=1)
+    p_verify.add_argument("--n", type=int, choices=range(1, 9), default=1)
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="run a brute-force experiment")

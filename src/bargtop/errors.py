@@ -48,9 +48,9 @@ class ConstructionResidual(NumericalFailure, ValueError):
 
 
 class OracleRefusal(ValueError):
-    """The brute-force oracle does not handle this problem: n > 2, a
-    pluriharmonic part, or a non-diagonal Levi form.  Maps to CLI exit
-    code 2."""
+    """The brute-force oracle does not handle this problem: a Galerkin
+    section at n > 2 or on a non-diagonal Levi form, or a pluriharmonic
+    part anywhere but in the Weyl convolution.  Maps to CLI exit code 2."""
 
 
 class ProblemFileError(Exception):

@@ -19,7 +19,6 @@ from .errors import InadmissibleProblem
 from .forms import ComplexQuadraticForm, _identity, _model_weight
 from .symplectic import LinearCanonicalMap
 from .toeplitz import (
-    AGREEMENT_BAND,
     SubVerdict,
     ToeplitzProblem,
     Verdict,
@@ -113,18 +112,17 @@ def classify_model(instance: ModelInstance) -> Verdict:
 
 
 def model_subverdict(instance: ModelInstance) -> SubVerdict:
-    """The boundedness margin as a witness, confident outside ``AGREEMENT_BAND``."""
+    """The boundedness margin as a witness: bounded, not compact, unless it
+    is confident (outside ``toeplitz.AGREEMENT_BAND``), and then labelled by
+    its sign."""
     g2 = abs(instance.gamma) ** 2
     threshold = (1.0 - g2) / g2
     m = float(threshold - 4.0 * instance.norm_a)
-    scale = max(1.0, abs(threshold), 4.0 * instance.norm_a)
-    if m > AGREEMENT_BAND * scale:
-        verdict = VerdictClass.COMPACT
-    elif m < -AGREEMENT_BAND * scale:
-        verdict = VerdictClass.UNBOUNDED
-    else:
-        verdict = VerdictClass.BOUNDED_NOT_COMPACT
-    return SubVerdict("model", verdict, m, scale)
+    sub = SubVerdict("model", VerdictClass.BOUNDED_NOT_COMPACT, m,
+                     max(1.0, abs(threshold), 4.0 * instance.norm_a))
+    if sub.confident:
+        sub.verdict = VerdictClass.COMPACT if m > 0.0 else VerdictClass.UNBOUNDED
+    return sub
 
 
 def closed_form_map(instance: ModelInstance) -> LinearCanonicalMap:

@@ -1,9 +1,9 @@
-"""Brute-force numerical ground truth at n <= 2.
+"""Brute-force numerical ground truth.
 
-Galerkin sections of the operator in the orthonormalized monomial basis,
-the Weyl heat flow as a direct Gaussian convolution, and coherent-state
-norms.  None of it trusts the closed-form pipeline; agreement is the
-cross-check.
+Galerkin sections of the operator in the orthonormalized monomial basis
+(n <= 2, diagonal Levi form), and at every n the Weyl heat flow as a
+direct Gaussian convolution and coherent-state norms.  None of it trusts
+the closed-form pipeline; agreement is the cross-check.
 
 None of it needs quadrature nodes.  Each integral is a polynomial, or
 nothing, against e^{-t.Gt + l.t} with G complex symmetric and Re G > 0,
@@ -51,9 +51,7 @@ __all__ = [
     "DecayEstimate",
     "singular_decay",
     "weyl_convolutions",
-    "numeric_weyl",
     "coherent_norms",
-    "numeric_coherent_norm",
 ]
 
 @dataclass
@@ -77,11 +75,6 @@ def _block_order(mat: np.ndarray) -> np.ndarray:
     m = mat.shape[0]
     perm = np.r_[0:m:2, 1:m:2]
     return mat[np.ix_(perm, perm)]
-
-
-def _require_small(problem: ToeplitzProblem) -> None:
-    if problem.n > 2:
-        raise OracleRefusal("oracle supports n <= 2")
 
 
 #: memory budget of one oracle computation: a Galerkin section and its basis
@@ -121,10 +114,18 @@ def _require_finite(mat, what: str) -> None:
         raise NumericalFailure(f"{what} leaves the double range")
 
 
-def _require_oracle_weight(weight: Weight) -> np.ndarray:
+def _require_hermitian(weight: Weight) -> None:
     if not weight.is_hermitian:
         raise OracleRefusal("oracle requires a weight without pluriharmonic part")
-    h = weight.h
+
+
+def _basis_levi(problem: ToeplitzProblem) -> np.ndarray:
+    """The Levi form's diagonal h_i, for a problem whose monomial basis the
+    oracle lists: n <= 2, a Hermitian weight and a diagonal Levi form."""
+    if problem.n > 2:
+        raise OracleRefusal("Galerkin sections support n <= 2")
+    _require_hermitian(problem.weight)
+    h = problem.weight.h
     off = h - np.diag(np.diag(h))
     if np.max(np.abs(off)) > 1e-13 * np.max(np.abs(h)):
         raise OracleRefusal(
@@ -300,8 +301,7 @@ def truncated_matrix(problem: ToeplitzProblem, size: int) -> TruncatedOperator:
     before its basis is listed.
     """
     problem.require_admissible()
-    _require_small(problem)
-    hdiag = _require_oracle_weight(problem.weight)
+    hdiag = _basis_levi(problem)
     _require_bytes(_section_bytes(size), f"a Galerkin section of size {size}")
     gauss = _gaussian_exponent(problem)
     sxx, sxxb, sxbxb = _pseudo_covariances(gauss.ginv)
@@ -402,7 +402,6 @@ def weyl_convolutions(problem: ToeplitzProblem, points) -> list:
     up once; only l and the exponent are taken at each point.
     """
     problem.require_admissible()
-    _require_small(problem)
     q = problem.q
     fmat = _block_order(form_matrix(q.qxx, q.qxbx, q.qxbxb))
     # far from unit scale G and the value at a point leave the double
@@ -425,12 +424,6 @@ def weyl_convolutions(problem: ToeplitzProblem, points) -> list:
     return values
 
 
-def numeric_weyl(problem: ToeplitzProblem, x) -> complex:
-    """Weyl symbol at the graph point over x by Gaussian convolution: the
-    one-point case of :func:`weyl_convolutions`."""
-    return weyl_convolutions(problem, (x,))[0]
-
-
 # ---------------------------------------------------------------------------
 # coherent-state norms
 
@@ -449,14 +442,13 @@ def _coherent_images(problem: ToeplitzProblem, points):
     and d from det(G)^{-1/2} e^{l.G^{-1}l/4}; only l, c and d are taken at
     each point."""
     problem.require_admissible()
-    _require_small(problem)
-    hdiag = _require_oracle_weight(problem.weight)
+    _require_hermitian(problem.weight)
     n, weight = problem.n, problem.weight
     gauss = _gaussian_exponent(problem)
     px = _xxbar_rows(n)[:n]  # x = px t
     with np.errstate(all="ignore"):
-        # pi^n, the x-integral's unit, over ||1||^3 = (pi^n / prod_i 2h_i)^{3/2}
-        log_const = 1.5 * np.sum(np.log(2.0 * hdiag)) - 0.5 * n * math.log(math.pi)
+        # pi^n, the x-integral's unit, over ||1||^3 = (pi^n / det(2H))^{3/2}
+        log_const = 1.5 * np.linalg.slogdet(2.0 * weight.h)[1] - 0.5 * n * math.log(math.pi)
         kernel = 2.0 * px.conj().T @ weight.h  # A
         half = kernel.T @ gauss.ginv / 2.0
         images = []
@@ -498,7 +490,3 @@ def coherent_norms(problem: ToeplitzProblem, points) -> list:
             norms.append(norm)
     return norms
 
-
-def numeric_coherent_norm(problem: ToeplitzProblem, w) -> float:
-    """The one-point case of :func:`coherent_norms`."""
-    return coherent_norms(problem, (w,))[0]

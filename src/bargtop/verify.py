@@ -125,8 +125,6 @@ def random_admissible_problem(
     operators (raw draws are mostly unbounded).  The weight's Levi
     eigenvalues are drawn uniformly from ``levi_range``.
     """
-    import scipy.linalg  # only here: importing verify leaves SciPy unloaded
-
     while True:
         w = random_weight(rng, n, pluriharmonic, levi_range)
         q = ComplexQuadraticForm(
@@ -139,10 +137,10 @@ def random_admissible_problem(
         )
         if damped:
             q = (-1.0) * herm_form + rng.uniform(0.1, 0.4) * q
-        gen = scipy.linalg.eigh(
-            real_part_matrix(q), real_part_matrix(herm_form), eigvals_only=True
-        )
-        lam_max = float(gen[-1])
+        # the largest lambda with A v = lambda B v, A and B the real forms of q
+        # and of the Levi form: the top eigenvalue of L^-1 A L^-T, B = L L^T
+        linv = np.linalg.inv(np.linalg.cholesky(real_part_matrix(herm_form)))
+        lam_max = float(np.linalg.eigvalsh(linv @ real_part_matrix(q) @ linv.T)[-1])
         theta = rng.uniform(min_margin, 1.0 - min_margin)
         scale = theta / lam_max if lam_max > 0 else rng.uniform(0.5, 1.5)
         problem = ToeplitzProblem(w, scale * q)
@@ -181,8 +179,7 @@ def weyl_evidence(problem: ToeplitzProblem) -> dict:
 
     The convolution integrates the heat flow in the file's coordinates in
     closed form (:func:`oracle.weyl_convolutions`, the problem set up once
-    for the three points), so no discretisation is left to refine; each
-    value equals ``oracle.numeric_weyl`` at its point bit for bit."""
+    for the three points), so no discretisation is left to refine."""
     from .io import cpx  # only here: importing bargtop compiles no file-format regex
     symbol = weyl.weyl_symbol(problem)
     e1 = np.eye(problem.n, dtype=complex)[0]
@@ -212,9 +209,7 @@ def coherent_slope(problem: ToeplitzProblem, radii) -> tuple:
     power of two, and 1 at unit scale.
 
     The norms come from one :func:`oracle.coherent_norms` call, which
-    sets up the problem's two completed squares once, and each log-norm
-    equals that of ``oracle.numeric_coherent_norm`` at its radius bit for
-    bit."""
+    sets up the problem's two completed squares once."""
     e1 = np.eye(problem.n, dtype=complex)[0]
     norms = oracle.coherent_norms(problem, [r * e1 for r in radii])
     logs = [float(np.log(norm)) for norm in norms]
@@ -389,7 +384,7 @@ def suite_mehler(seed: int = 0, n: int = 1) -> SuiteResult:
         problem = model.model_problem(model.ModelInstance(1, lam, np.zeros((1, 1))))
         symbol = weyl.weyl_symbol(problem)
         x = np.array([1.0 + 0.0j])
-        num = oracle.numeric_weyl(problem, x)
+        num = oracle.weyl_convolutions(problem, (x,))[0]
         ref = symbol.evaluate(x)
         res.add(f"convolution agrees #{k}", abs(num - ref) / abs(ref), 1e-6)
     # general draws at the suite's dimension: the convolution in the file's
@@ -400,7 +395,7 @@ def suite_mehler(seed: int = 0, n: int = 1) -> SuiteResult:
         x = rng.uniform(0.5, 2.0) * u / np.linalg.norm(u)
         ref = weyl.weyl_symbol(problem).evaluate(x)
         try:
-            rel = abs(oracle.numeric_weyl(problem, x) - ref) / abs(ref)
+            rel = abs(oracle.weyl_convolutions(problem, (x,))[0] - ref) / abs(ref)
         except NumericalFailure:  # a value past the double range: a failed check
             rel = math.inf
         res.add(f"general convolution agrees #{k}", rel, 1e-6)

@@ -16,7 +16,7 @@ from bargtop.bergman import (
 from bargtop.errors import DisagreementError
 from bargtop.forms import ComplexQuadraticForm, Weight
 from bargtop.model import ModelInstance, classify_model, model_problem
-from bargtop.oracle import numeric_coherent_norm, singular_decay, truncated_matrix
+from bargtop.oracle import coherent_norms, singular_decay, truncated_matrix
 from bargtop.symplectic import (
     PhasePoint,
     graph_point,
@@ -217,7 +217,7 @@ def test_criterion_7_coherent_state_norms():
     slopes = {}
     for lam, expect in ((-0.5, -0.1875), (0.2, (1 / 0.36 - 1) / 4)):
         problem = model_problem(ModelInstance(1, lam, np.zeros((1, 1))))
-        logs = [np.log(numeric_coherent_norm(problem, [r])) for r in radii]
+        logs = np.log(coherent_norms(problem, [[r] for r in radii]))
         slope = float(np.polyfit(radii ** 2, logs, 1)[0])
         slopes[lam] = (slope, expect)
         assert abs(slope - expect) <= 0.01 * abs(expect), (lam, slope, expect)

@@ -342,6 +342,15 @@ def flow_matrix(m):
         for row in m) + "]"
 
 
+def problem_text(problem):
+    """``problem`` as a canonical flow-style file, every entry by its repr."""
+    w, q = problem.weight, problem.q
+    return (f"n: {problem.n}\nphi0:\n  hermitian: {flow_matrix(w.h)}\n"
+            f"  pluriharmonic: {flow_matrix(w.p)}\n"
+            f"q:\n  xx: {flow_matrix(q.qxx)}\n  xbarx: {flow_matrix(q.qxbx)}\n"
+            f"  xbarxbar: {flow_matrix(q.qxbxb)}\n")
+
+
 @st.composite
 def model_instances(draw):
     """Admissible (lam, A) of the radial family at n = 1..3, A complex symmetric."""
@@ -754,6 +763,17 @@ class TestVerifyCommand:
         general = [c for c in checks if c.label.startswith("general convolution")]
         assert len(general) == 4 and all(c.ok for c in general)
 
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_every_suite_passes_at_the_dimensions_classify_runs(self, capsys, n):
+        assert main(["verify", "--n", str(n)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == list(verify.SUITES)
+        assert all(line.split(":")[1].startswith(" pass") for line in lines)
+
+    def test_dimension_past_eight_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--n", "9"])
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "nonsense"])
@@ -945,21 +965,35 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("experiment,source", [
         ("weyl", "separable"), ("coherent", "separable"), ("weyl", "classify_n2"),
+        *((experiment, f"general n{n}") for n in (2, 3, 4, 8)
+          for experiment in ("weyl", "coherent")),
     ])
     def test_output_is_the_verify_evidence(self, tmp_path, capsys, experiment, source):
+        # a general draw has a non-diagonal Levi form; the closed forms take
+        # any n
         path = tmp_path / "p.yaml"
         if source == "separable":
             path.write_text(self.SEPARABLE_N1)
-        else:
+        elif source == "classify_n2":
             path = DATA / "classify_n2.yaml"
+        else:
+            n = int(source[-1])
+            problem = verify.random_admissible_problem(np.random.default_rng(n), n)
+            path.write_text(problem_text(problem))
         assert main(["oracle", str(path), "--experiment", experiment]) == 0
         evidence = getattr(verify, f"{experiment}_evidence")(load_problem(str(path)))
         assert capsys.readouterr().out == io.json_text(evidence) + "\n"
+        if experiment == "weyl":
+            assert evidence["max_rel_error"] <= 1e-12
+        else:
+            pred = evidence["predicted_slope"]
+            assert abs(evidence["slope"] - pred) <= 1e-9 * max(1.0, abs(pred))
 
     @pytest.mark.parametrize("case", [
         "sizes abc", "sizes 0", "sizes -3", "sizes 10,,20",
-        "pluriharmonic", "non-diagonal", "n3 trend", "n3 weyl", "n3 coherent",
+        "pluriharmonic", "non-diagonal", "n3 trend",
         "tiny-pluriharmonic", "tiny-non-diagonal",
+        "pluriharmonic decay", "pluriharmonic coherent", "non-diagonal decay", "n3 decay",
     ])
     def test_refusals_exit_two(self, tmp_path, capsys, case):
         h1 = "[[[0.25, 0.0]]]"
@@ -980,7 +1014,7 @@ class TestOracleCommand:
         argv = ["oracle", str(path), "--experiment", "trend"]
         if kind == "sizes":
             argv += ["-N", arg]
-        elif kind == "n3":
+        elif arg:
             argv[-1] = arg
         assert main(argv) == 2
         err = capsys.readouterr().err

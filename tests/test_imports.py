@@ -1,11 +1,12 @@
 """The import graph of a fresh process.
 
-SciPy serves only ``verify``'s random draws, the process pool only a
+The package never imports SciPy.  The process pool serves only a
 ``scan`` with at least two usable CPUs and a grid large enough to give
 each worker ``cli._ROWS_PER_WORKER`` rows, and PyYAML only problem files
 that are not in canonical form; ``classify`` of a canonical file, a serial
-``scan`` and every oracle experiment load none of them.  Each test starts its own interpreter,
-since the test process itself has long since imported all three.
+``scan``, ``verify`` and every oracle experiment load none of them.  Each
+test starts its own interpreter, since the test process itself has long
+since imported all three.
 """
 
 import json
@@ -27,7 +28,7 @@ LAZY = ("scipy", "concurrent.futures.process", "yaml")
 # its last stdout line, which LAZY modules it loaded
 CHILD = """
 import json, sys
-from bargtop import numeric_weyl, truncated_matrix
+from bargtop import coherent_norms, truncated_matrix, weyl_convolutions
 from bargtop.cli import main
 rc = main(sys.argv[2:])
 print(json.dumps({"rc": rc, "loaded": [m for m in json.loads(sys.argv[1]) if m in sys.modules]}))
@@ -66,6 +67,12 @@ def test_oracle_leaves_scipy_unloaded(tmp_path, experiment):
                     "  xx: [[[0.05, 0.1]]]\n  xbarx: [[[-0.3, 0.4]]]\n  xbarxbar: [[[0.02, -0.1]]]\n")
     result = run_main(["oracle", str(path), "--experiment", experiment])
     assert result == {"rc": 0, "loaded": []}
+
+
+def test_verify_leaves_scipy_unloaded():
+    # the random draws take their generalized eigenvalue from a Cholesky
+    # factor and NumPy's eigvalsh
+    assert run_main(["verify", "--suite", "mehler"]) == {"rc": 0, "loaded": []}
 
 
 # runs main(argv), pinned to one CPU first when asked, and reports whether

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bargtop.errors import InadmissibleProblem
 from bargtop.model import (
@@ -11,7 +14,7 @@ from bargtop.model import (
     model_subverdict,
     positivity_coefficients,
 )
-from bargtop.toeplitz import VerdictClass, classify_operator
+from bargtop.toeplitz import AGREEMENT_BAND, VerdictClass, classify_operator
 from bargtop.verify import canonical_map, random_admissible_problem
 
 
@@ -42,6 +45,68 @@ class TestClassifyModel:
     def test_inadmissible_raises(self):
         with pytest.raises(InadmissibleProblem):
             classify_model(ModelInstance(1, 0.3, np.zeros((1, 1))))
+
+
+def three_way_rule(inst):
+    """The margin's verdict by the rule model_subverdict once spelled out:
+    compact above AGREEMENT_BAND * scale, unbounded below its negative, and
+    bounded, not compact, between them or for a margin that is not a
+    number."""
+    g2 = abs(inst.gamma) ** 2
+    threshold = (1.0 - g2) / g2
+    m = float(threshold - 4.0 * inst.norm_a)
+    scale = max(1.0, abs(threshold), 4.0 * inst.norm_a)
+    if m > AGREEMENT_BAND * scale:
+        return VerdictClass.COMPACT
+    if m < -AGREEMENT_BAND * scale:
+        return VerdictClass.UNBOUNDED
+    return VerdictClass.BOUNDED_NOT_COMPACT
+
+
+def band_edge(inst, side):
+    """The two adjacent doubles of ||A|| between which the three-way rule
+    leaves (side +1) or enters (side -1) its confident class, by bisection
+    on the bits of non-negative doubles, where their order is the
+    integers'."""
+    outside = VerdictClass.COMPACT if side > 0 else VerdictClass.UNBOUNDED
+
+    def crossed(bits):
+        inst.norm_a = float(np.int64(bits).view(np.float64))
+        return (three_way_rule(inst) is outside) != (side > 0)
+
+    lo, hi = 0, int(np.float64(1e300).view(np.int64))
+    assert not crossed(lo) and crossed(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if crossed(mid) else (mid, hi)
+    return [float(np.int64(b).view(np.float64)) for b in (lo, hi)]
+
+
+class TestModelSubverdict:
+    @settings(max_examples=200, deadline=None)
+    @given(lam=st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False),
+           a=st.floats(0.0, 10.0), edge=st.sampled_from(["none", "compact", "unbounded", "nan"]))
+    @example(lam=0.5, a=0.1, edge="none")  # gamma is infinite: the margin is not a number
+    @example(lam=-1.0, a=0.0, edge="compact")
+    def test_label_is_the_three_way_rule(self, lam, a, edge):
+        inst = ModelInstance(1, lam, [[a]])
+        norms = [inst.norm_a]
+        if edge == "nan":
+            norms = [math.nan]
+        elif edge != "none":
+            g2 = abs(inst.gamma) ** 2
+            if not g2 < 1.0 / (1.0 + 1e-6):  # no margin above the band at ||A|| = 0
+                return
+            norms = band_edge(inst, 1 if edge == "compact" else -1)
+        labels = []
+        for norm in norms:
+            inst.norm_a = norm
+            sub = model_subverdict(inst)
+            assert sub.verdict is three_way_rule(inst)
+            labels.append(sub.verdict)
+        if edge in ("compact", "unbounded"):
+            # one ulp of ||A|| apart, on the two sides of the band
+            assert labels[0] is not labels[1]
 
 
 class TestClosedFormMap:

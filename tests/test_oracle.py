@@ -26,8 +26,6 @@ from bargtop.oracle import (
     is_plateau,
     monomial_indices,
     norm_trend,
-    numeric_coherent_norm,
-    numeric_weyl,
     singular_decay,
     truncated_matrix,
     weyl_convolutions,
@@ -274,8 +272,8 @@ class TestTruncatedMatrix:
 
     @pytest.mark.parametrize("run", [
         lambda p: truncated_matrix(p, 4),
-        lambda p: numeric_weyl(p, np.zeros(3)),
-        lambda p: numeric_coherent_norm(p, np.ones(3)),
+        lambda p: norm_trend(p, [4]),
+        lambda p: singular_decay(p, 4),
     ])
     def test_refuses_n_above_two_before_quadrature(self, run):
         with pytest.raises(OracleRefusal, match="n <= 2"):
@@ -537,12 +535,13 @@ class TestTrendAndDecay:
 
 class TestNumericWeyl:
     def test_trivial_symbol(self):
-        assert numeric_weyl(trivial_problem(), [0.7 + 0.2j]) == pytest.approx(1.0, abs=1e-10)
+        [value] = weyl_convolutions(trivial_problem(), [[0.7 + 0.2j]])
+        assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_mehler_values(self):
         p = scalar_problem(-0.5)
-        assert numeric_weyl(p, [0.0]) == pytest.approx(2 / 3, abs=1e-10)
-        assert numeric_weyl(p, [1.0]) == pytest.approx((2 / 3) * np.exp(-1 / 3), abs=1e-9)
+        assert weyl_convolutions(p, [[0.0]])[0] == pytest.approx(2 / 3, abs=1e-10)
+        assert weyl_convolutions(p, [[1.0]])[0] == pytest.approx((2 / 3) * np.exp(-1 / 3), abs=1e-9)
 
     def test_never_diverges_on_admissible_input(self):
         # admissibility implies Re q < Phi_herm < the convolution threshold
@@ -550,7 +549,7 @@ class TestNumericWeyl:
         for _ in range(20):
             problem = random_admissible_problem(rng, 1)
             try:
-                numeric_weyl(problem, [0.3 - 0.1j])
+                weyl_convolutions(problem, [[0.3 - 0.1j]])[0]
             except NotAbsolutelyConvergent as exc:  # pragma: no cover
                 pytest.fail(f"convolution unexpectedly divergent: {exc}")
 
@@ -559,7 +558,7 @@ class TestNumericWeyl:
         problem = model_problem(inst)
         ws = weyl_symbol(problem)
         x = np.array([0.5 - 0.3j, 0.2j])
-        got = numeric_weyl(problem, x)
+        got = weyl_convolutions(problem, [x])[0]
         assert abs(got - ws.evaluate(x)) / abs(ws.evaluate(x)) < 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -571,13 +570,13 @@ class TestNumericWeyl:
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         x = radius * u / np.linalg.norm(u)
         ref = weyl_symbol(problem).evaluate(x)
-        got = numeric_weyl(problem, x)
+        got = weyl_convolutions(problem, [x])[0]
         assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 class TestWeylEvidence:
     """weyl_evidence sets the problem up once for its three points; each
-    of its numbers is still the one-point convolution's."""
+    of its numbers is still the convolution's at that point alone."""
 
     @pytest.mark.parametrize("case", ["separable n1", "general n1", "general n2", "classify_n2"])
     def test_values_are_the_one_point_convolution(self, case):
@@ -594,14 +593,35 @@ class TestWeylEvidence:
         assert set(evidence) == {"experiment", "points", "max_rel_error"}
         for row in evidence["points"]:
             x = np.array([complex(*v) for v in row["x"]])
-            assert complex(*row["numeric"]) == numeric_weyl(problem, x)
+            assert complex(*row["numeric"]) == weyl_convolutions(problem, [x])[0]
         assert evidence["max_rel_error"] <= 1e-12
 
     def test_points_share_one_setup(self):
         problem = separable_problem(np.random.default_rng(8), 2)
         points = [np.array([0.5, -1j]), np.array([2.0, 0.0]), np.zeros(2)]
         values = weyl_convolutions(problem, points)
-        assert values == [numeric_weyl(problem, x) for x in points]
+        assert values == [weyl_convolutions(problem, [x])[0] for x in points]
+
+
+class TestEveryDimension:
+    """The Weyl convolution and both coherent squares complete squares in
+    2n real variables and list no basis, so they hold at the dimensions
+    classify runs, on general Levi forms."""
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_general_draws_match_the_closed_forms(self, n):
+        # raw draws are mostly unbounded; damped ones mostly compact
+        rng = np.random.default_rng([n, 28])
+        verdicts = set()
+        for damped in (False, True):
+            for _ in range(20):
+                problem = random_admissible_problem(rng, n, damped=damped)
+                assert weyl_evidence(problem)["max_rel_error"] <= 1e-12
+                evidence = coherent_evidence(problem)
+                pred = evidence["predicted_slope"]
+                assert abs(evidence["slope"] - pred) <= 1e-9 * max(1.0, abs(pred))
+                verdicts.add(classify_operator(problem).verdict)
+        assert {VerdictClass.COMPACT, VerdictClass.UNBOUNDED} <= verdicts
 
 
 def image_coefficients(problem, w, nbasis):
@@ -636,18 +656,18 @@ def default_basis(problem, w):
 class TestCoherentNorms:
     def test_trivial_symbol_normalized(self):
         for r in (0.5, 1.0, 2.0, 4.0):
-            got = numeric_coherent_norm(trivial_problem(), [r])
+            got = coherent_norms(trivial_problem(), [[r]])[0]
             assert got == pytest.approx(1.0, abs=1e-10)
 
     def test_trivial_symbol_n2(self):
-        got = numeric_coherent_norm(trivial_problem(2), [1.0, 0.5j])
+        got = coherent_norms(trivial_problem(2), [[1.0, 0.5j]])[0]
         assert got == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("lam,expect", [(-0.5, -0.1875), (0.2, (1 / 0.36 - 1) / 4)])
     def test_log_norm_slopes(self, lam, expect):
         problem = scalar_problem(lam)
         radii = np.array([1.0, 2.0, 4.0])
-        logs = [np.log(numeric_coherent_norm(problem, [r])) for r in radii]
+        logs = np.log(coherent_norms(problem, [[r] for r in radii]))
         slope = np.polyfit(radii ** 2, logs, 1)[0]
         assert abs(slope - expect) <= 1e-13 * abs(expect)
 
@@ -662,14 +682,14 @@ class TestCoherentNorms:
                    else scalar_problem(-0.4 + 0.1j))
         logs, _ = coherent_slope(problem, COHERENT_RADII)
         e1 = np.eye(problem.n, dtype=complex)[0]
-        one_point = [numeric_coherent_norm(problem, r * e1) for r in COHERENT_RADII]
+        one_point = [coherent_norms(problem, [r * e1])[0] for r in COHERENT_RADII]
         assert logs == [float(np.log(norm)) for norm in one_point]
 
     def test_norms_at_general_points_are_the_one_point_norms(self):
         problem = diagonal_levi_problem(np.random.default_rng(12), 2)
         points = [np.array([0.3, 1j]), np.array([-1.0, 0.5])]
         got = coherent_norms(problem, points)
-        assert got == [numeric_coherent_norm(problem, w) for w in points]
+        assert got == [coherent_norms(problem, [w])[0] for w in points]
 
     def test_slope_matches_the_prediction_on_general_n2_draws(self):
         # the Bergman growth exponent is a different construction, at the
@@ -808,14 +828,14 @@ class TestCoherentNorms:
         problem, w = self.draw(1, family, seed)
         coeffs = self.reference_coefficients(problem, w, 8 * default_basis(problem, w))
         ref = 0.5 * math.log(np.sum(np.abs(coeffs) ** 2))
-        assert abs(math.log(numeric_coherent_norm(problem, w)) - ref) <= 1e-12
+        assert abs(math.log(coherent_norms(problem, [w])[0]) - ref) <= 1e-12
 
     def test_norm_peak_memory(self):
         problem = scalar_problem(-0.4 + 0.1j)
-        numeric_coherent_norm(problem, [4.0])  # NumPy's lazy imports
+        coherent_norms(problem, [[4.0]])  # NumPy's lazy imports
         tracemalloc.start()
         try:
-            numeric_coherent_norm(problem, [4.0])
+            coherent_norms(problem, [[4.0]])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -4,7 +4,7 @@ import pytest
 from bargtop.errors import ResolventSingular
 from bargtop.forms import ComplexQuadraticForm, Weight, classify_real_form, real_part_matrix
 from bargtop.model import ModelInstance, model_problem
-from bargtop.oracle import numeric_weyl
+from bargtop.oracle import weyl_convolutions
 from bargtop.toeplitz import DEFINITENESS_VERDICT, ToeplitzProblem, VerdictClass, classify_operator
 from bargtop.verify import random_admissible_lambda, random_admissible_problem
 from bargtop.weyl import symbol_subverdict, weyl_symbol
@@ -112,8 +112,8 @@ class TestQuadratureConsistency:
     def test_model_values(self):
         p = scalar_problem(-0.5)
         ws = weyl_symbol(p)
-        assert numeric_weyl(p, [0.0]) == pytest.approx(2 / 3, abs=1e-9)
-        got = numeric_weyl(p, [1.0])
+        assert weyl_convolutions(p, [[0.0]])[0] == pytest.approx(2 / 3, abs=1e-9)
+        got = weyl_convolutions(p, [[1.0]])[0]
         assert got == pytest.approx(ws.evaluate(np.array([1.0 + 0j])), rel=1e-8)
 
     def test_random_instances_pointwise(self):
@@ -123,7 +123,7 @@ class TestQuadratureConsistency:
             ws = weyl_symbol(problem)
             x = rng.uniform(-1.4, 1.4, 1) + 1j * rng.uniform(-1.4, 1.4, 1)
             ref = ws.evaluate(x)
-            got = numeric_weyl(problem, x)
+            got = weyl_convolutions(problem, [x])[0]
             assert abs(got - ref) / abs(ref) < 1e-6
 
     def test_verdict_agreement_is_exercised(self):
