@@ -15,7 +15,7 @@ from bargtop.forms import ComplexQuadraticForm, Weight
 from bargtop.model import ModelInstance, model_problem
 from bargtop.oracle import norm_trend, is_plateau, singular_decay
 from bargtop.toeplitz import ToeplitzProblem, classify_operator
-from bargtop.verify import COHERENT_RADII, coherent_slope
+from bargtop.verify import COHERENT_RADII, coherent_scale, coherent_slope
 
 CASES = [
     ("identity (q = 0)", None),
@@ -46,6 +46,7 @@ if __name__ == "__main__":
 
     print("\ncoherent-state growth (log-norm slope in |w|^2):")
     for name, lam in CASES[1:]:
-        _, slope = coherent_slope(problem_for(lam), COHERENT_RADII)
+        problem = problem_for(lam)
+        _, slope = coherent_slope(problem, COHERENT_RADII, coherent_scale(problem))
         g2 = abs(1 / (1 - 2 * lam)) ** 2
         print(f"  {name}: measured {slope:+.5f}, predicted {(g2 - 1) / 4:+.5f}")

@@ -1,4 +1,5 @@
-"""The LAPACK calls of the classification, without ``np.linalg``'s dispatch.
+"""Every LAPACK call of ``classify``, ``scan`` and ``oracle``, without
+``np.linalg``'s dispatch.
 
 Each ``np.linalg`` function converts and checks its argument and enters an
 ``np.errstate`` context before it runs one of NumPy's linalg gufuncs; on
@@ -6,9 +7,18 @@ the small matrices of a classification that costs more than the LAPACK
 call.  These run the gufunc the ``np.linalg`` function would run, on a
 float64 or complex128 matrix, so every result keeps its bits.  A failed
 factorization fills its result with NaN (and NumPy warns); where
-``np.linalg`` raises ``LinAlgError`` these raise :class:`NumericalFailure`.
-Callers pass finite matrices, and check the conditioning of every matrix
-they invert or solve with first.
+``np.linalg`` raises ``LinAlgError`` these raise :class:`NumericalFailure`,
+which the command line reports with exit code 3.  Callers pass finite
+matrices, and check the conditioning of every matrix they invert or solve
+with first.
+
+The callers are the classification's kernels (``forms``, ``toeplitz``,
+``symplectic``, ``weyl``, ``bergman``, ``model``), the oracle's sections
+and completed squares, and ``verify``'s coherent scale.  ``np.linalg``
+stays only where a result is a reference, not a step of a command: the
+general-weight involution ``symplectic.involution_for_weight``, and the
+seeded draws and suites of ``verify`` that the tests and ``bargtop
+verify`` compare the kernels against.
 
 The gufuncs live in NumPy's private ``numpy.linalg._umath_linalg``, whose
 names have held from NumPy 1.24 through 2.x but for the singular values
@@ -63,3 +73,13 @@ cholesky = _bound(("cholesky_lo",), "d->d", "D->D", np.linalg.cholesky)
 #: np.linalg.det and np.linalg.slogdet (as a pair), which cannot fail
 det = _bound(("det",), "d->d", "D->D", np.linalg.det, checked=False)
 slogdet = _bound(("slogdet",), "d->dd", "D->Dd", np.linalg.slogdet, checked=False)
+_eigvals = _bound(("eigvals",), "d->D", "D->D", np.linalg.eigvals)
+
+
+def eigvals(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvals: the eigenvalues of a general matrix, complex, but
+    real when ``a`` is real and every eigenvalue comes out real."""
+    w = _eigvals(a)
+    if a.dtype.kind != "c" and not w.imag.any():
+        return w.real
+    return w

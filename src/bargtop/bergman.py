@@ -128,7 +128,7 @@ class BergmanForm:
         n = shapes[0][0] if len(shapes[0]) == 2 else 0
         if n == 0 or shapes != [(n, n)] * 3:
             raise ValueError(f"fxx, fxz and fzz must be n x n blocks, n >= 1; got shapes {shapes}")
-        sv = np.linalg.svd(self.fxz, compute_uv=False)
+        sv = _lapack.svdvals(self.fxz)
         if sv[-1] <= 1e-10 * max(sv[0], 1e-300):
             ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0
             raise SingularSystem(
@@ -146,8 +146,8 @@ class BergmanForm:
 
     def scaled_mixed_det(self) -> float:
         """|det fxz| normalized by the spectral norm, the degeneracy gauge."""
-        sv = np.linalg.svd(self.fxz, compute_uv=False)
-        return float(abs(np.linalg.det(self.fxz)) / max(sv[0], 1e-300) ** self.n)
+        sv = _lapack.svdvals(self.fxz)
+        return float(abs(_lapack.det(self.fxz)) / max(sv[0], 1e-300) ** self.n)
 
 
 def bergman_exponent(problem: ToeplitzProblem) -> BergmanForm:
@@ -227,7 +227,7 @@ def growth_exponent(f: BergmanForm, weight: Weight, w, tol=None) -> float:
     wbar = np.conj(w)
 
     mq = _growth_quadratic_matrix(f, weight)
-    eigs = np.linalg.eigvalsh(mq)
+    eigs = _lapack.eigvalsh(mq)
     scale = float(np.max(np.abs(eigs)))
     if eigs[-1] >= -tol * scale:
         return math.inf
@@ -235,7 +235,7 @@ def growth_exponent(f: BergmanForm, weight: Weight, w, tol=None) -> float:
     # linear part 4 Re(x.fxz wbar) = lin . t
     lin = 4.0 * interleave(np.conj(f.fxz @ wbar))
     const = 2.0 * (wbar @ f.fzz @ wbar).real
-    peak = const - 0.25 * lin @ np.linalg.solve(mq, lin)
+    peak = const - 0.25 * lin @ _lapack.solve(mq, lin[:, None])[:, 0]
     return float(peak - 2.0 * weight.value(w))
 
 

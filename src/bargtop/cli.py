@@ -4,12 +4,15 @@ Subcommands: classify a problem file, scan the model-family parameter
 grid to CSV, run the cross-validation suites, or run oracle experiments.
 
 Exit codes: 0 ok, 1 verify failure, 2 inadmissible input, 3 numerical
-failure or verdict disagreement.
+failure or verdict disagreement, 141 (128 + SIGPIPE, what a shell reports
+for a program that SIGPIPE ended) when the reader of stdout closed it
+early, as ``bargtop classify file | head`` does; that case prints nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import math
@@ -29,6 +32,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILURE = 1
 EXIT_INADMISSIBLE = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +365,18 @@ def main(argv=None) -> int:
         return EXIT_INADMISSIBLE
     # each command's refusals and failures: one stderr line and an exit code
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at the null device, so that the flush at exit drops
+        # what is left unwritten instead of failing again
+        with contextlib.suppress(OSError):  # no file behind stdout, nothing left
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ProblemFileError, OracleRefusal) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE

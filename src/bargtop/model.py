@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _lapack
 from .errors import InadmissibleProblem
 from .forms import ComplexQuadraticForm, _identity, _model_weight
 from .symplectic import LinearCanonicalMap
@@ -59,7 +60,7 @@ class ModelInstance:
         # lam = 1/2 is far outside admissibility; gamma is the point at infinity there
         d = 1.0 - 2.0 * self.lam
         self.gamma = 1.0 / d if d else complex(cmath.inf)
-        self.norm_a = float(np.linalg.svd(self.a, compute_uv=False)[0])
+        self.norm_a = float(_lapack.svdvals(self.a)[0])
 
     @property
     def admissibility_margin(self) -> float:

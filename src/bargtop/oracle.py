@@ -22,7 +22,9 @@ and its norm one more in z.  Several points of one problem
 Near the float maximum or minimum a problem can be admissible while G, a
 pseudo-covariance or a value leaves the double range; each is checked
 where it is first formed and raises ``NumericalFailure``, with no warning
-on the way.  Determinants are taken only as logarithms.
+on the way.  Determinants are taken only as logarithms.  Every
+factorization, SVD and eigensolve goes through ``bargtop._lapack``, as the
+classification's do, so a failed one raises ``NumericalFailure`` too.
 
 The oracle imports no SciPy: importing the package and every oracle
 experiment leave it unloaded.
@@ -37,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import (
     NotAbsolutelyConvergent, NumericalFailure, OracleRefusal, QuadratureDivergence,
 )
@@ -63,7 +66,7 @@ class TruncatedOperator:
     indices: list
 
     def spectral_norm(self) -> float:
-        return float(np.linalg.svd(self.t, compute_uv=False)[0])
+        return float(_lapack.svdvals(self.t)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +224,13 @@ class _GaussianIntegral:
 
     def __init__(self, g: np.ndarray, what: str, divergence=QuadratureDivergence):
         _require_finite(g, what)
-        low = np.linalg.eigvalsh(np.real(g))[0]
+        low = _lapack.eigvalsh(np.real(g))[0]
         if low <= 0.0:
             raise divergence(f"{what} is not integrable (min Re eigenvalue {low:.3e})")
         self.g = g
-        self.ginv = np.linalg.inv(g)
+        self.ginv = _lapack.inv(g)
         # the principal root of each eigenvalue, all in the right half-plane
-        self.log_base = -0.5 * np.sum(np.log(np.linalg.eigvals(g)))
+        self.log_base = -0.5 * np.sum(np.log(_lapack.eigvals(g)))
 
     def log(self, lin: np.ndarray) -> complex:
         return self.log_base + lin @ self.ginv @ lin / 4.0
@@ -339,9 +342,7 @@ def norm_trend(problem: ToeplitzProblem, sizes) -> list:
     plateau is the boundedness hint (never a verdict)."""
     sizes = sorted(int(s) for s in sizes)
     top = truncated_matrix(problem, sizes[-1])
-    return [
-        float(np.linalg.svd(top.t[:s, :s], compute_uv=False)[0]) for s in sizes
-    ]
+    return [float(_lapack.svdvals(top.t[:s, :s])[0]) for s in sizes]
 
 
 def is_plateau(norms, rtol: float = 1e-3) -> bool:
@@ -370,7 +371,7 @@ def singular_decay(problem: ToeplitzProblem, size: int) -> DecayEstimate:
     """Least-squares geometric decay ratio of the singular values above
     ``_DECAY_FLOOR`` of the largest."""
     top = truncated_matrix(problem, size)
-    sv = np.linalg.svd(top.t, compute_uv=False)
+    sv = _lapack.svdvals(top.t)
     keep = sv > sv[0] * _DECAY_FLOOR
     sv_kept = sv[keep]
     k = np.arange(sv_kept.size)
@@ -448,7 +449,7 @@ def _coherent_images(problem: ToeplitzProblem, points):
     px = _xxbar_rows(n)[:n]  # x = px t
     with np.errstate(all="ignore"):
         # pi^n, the x-integral's unit, over ||1||^3 = (pi^n / det(2H))^{3/2}
-        log_const = 1.5 * np.linalg.slogdet(2.0 * weight.h)[1] - 0.5 * n * math.log(math.pi)
+        log_const = 1.5 * _lapack.slogdet(2.0 * weight.h)[1] - 0.5 * n * math.log(math.pi)
         kernel = 2.0 * px.conj().T @ weight.h  # A
         half = kernel.T @ gauss.ginv / 2.0
         images = []

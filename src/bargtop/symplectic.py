@@ -175,7 +175,7 @@ def _involution_closed_hermitian(h: np.ndarray) -> AntilinearInvolution:
     # (y, eta) -> (H^{-1} conj(eta) / 2i, (2/i) conj(H) conj(y))
     n = h.shape[0]
     m = np.zeros((2 * n, 2 * n), dtype=complex)
-    m[:n, n:], m[n:, :n] = np.linalg.inv(h) / 2j, -2j * np.conj(h)
+    m[:n, n:], m[n:, :n] = _lapack.inv(h) / 2j, -2j * np.conj(h)
     return AntilinearInvolution(m)
 
 

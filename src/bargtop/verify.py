@@ -32,7 +32,7 @@ from .symplectic import (
     symplectic_product,
 )
 from .toeplitz import ToeplitzProblem, VerdictClass, normal_phase
-from . import bergman, model, oracle, weyl
+from . import _lapack, bergman, model, oracle, weyl
 
 __all__ = [
     "build_phase",
@@ -200,20 +200,19 @@ def weyl_evidence(problem: ToeplitzProblem) -> dict:
             "max_rel_error": max(row["rel_error"] for row in rows)}
 
 
-def coherent_slope(problem: ToeplitzProblem, radii) -> tuple:
+def coherent_slope(problem: ToeplitzProblem, radii, scale: float) -> tuple:
     """(log-norms, slope): the log-norms of the operator applied to the
     normalized coherent states at r e_1 for r in ``radii``, and the slope of
-    their least-squares line in r^2.  The line is fitted in (r / f)^2, f
-    from :func:`coherent_scale`, and its slope divided by f^2, so radii far
-    from unit scale neither overflow the fit nor lose it to rounding; f is a
-    power of two, and 1 at unit scale.
+    their least-squares line in r^2.  The line is fitted in (r / f)^2, f =
+    ``scale`` the problem's :func:`coherent_scale`, and its slope divided by
+    f^2, so radii far from unit scale neither overflow the fit nor lose it
+    to rounding; f is a power of two, and 1 at unit scale.
 
     The norms come from one :func:`oracle.coherent_norms` call, which
     sets up the problem's two completed squares once."""
     e1 = np.eye(problem.n, dtype=complex)[0]
     norms = oracle.coherent_norms(problem, [r * e1 for r in radii])
     logs = [float(np.log(norm)) for norm in norms]
-    scale = coherent_scale(problem)
     fit = np.polyfit((np.asarray(radii) / scale) ** 2, logs, 1)[0]
     return logs, float(fit / scale ** 2)
 
@@ -222,7 +221,7 @@ def coherent_scale(problem: ToeplitzProblem) -> float:
     """f = 2^-round(log2(4 lambda_max(H)) / 2), the power of two that takes
     the Levi form to unit scale: Phi(r f e_1) is of the order of r^2 / 4,
     and f = 1 near H = I/4."""
-    top = float(np.linalg.eigvalsh(problem.weight.h)[-1])
+    top = float(_lapack.eigvalsh(problem.weight.h)[-1])
     return 2.0 ** -round((math.log2(top) + 2.0) / 2.0)
 
 
@@ -232,8 +231,9 @@ def coherent_evidence(problem: ToeplitzProblem) -> dict:
 
     The radii are ``COHERENT_RADII`` times :func:`coherent_scale`, so the
     fit sees log-norms of order one at any scale of the Levi form."""
-    radii = [r * coherent_scale(problem) for r in COHERENT_RADII]
-    logs, slope = coherent_slope(problem, radii)
+    scale = coherent_scale(problem)
+    radii = [r * scale for r in COHERENT_RADII]
+    logs, slope = coherent_slope(problem, radii, scale)
     # the coherent norms refused a pluriharmonic part: the weight is Hermitian
     growth = bergman.growth_exponent(bergman.bergman_exponent(problem), problem.weight,
                                      np.eye(problem.n, dtype=complex)[0])
@@ -403,6 +403,9 @@ def suite_mehler(seed: int = 0, n: int = 1) -> SuiteResult:
 
 
 def suite_diagonal(seed: int = 0, n: int = 1) -> SuiteResult:
+    """The Galerkin law of the radial family, whose sections are diagonal
+    with eigenvalues gamma^k, at n = 1 whatever the suite's n, as its
+    labels say: only sections list a monomial basis, and only at n <= 2."""
     res = SuiteResult("diagonal")
     size = 40
     for lam in (-0.5, 1j, 0.2):
@@ -416,30 +419,33 @@ def suite_diagonal(seed: int = 0, n: int = 1) -> SuiteResult:
         rel = np.max(
             np.abs(eigs[order_e] - expect[order_x]) / np.abs(expect[order_x])
         )
-        res.add(f"diagonal law lam={lam}", float(rel), 1e-10)
+        res.add(f"diagonal law n=1 lam={lam}", float(rel), 1e-10)
         off = top.t - np.diag(np.diag(top.t))
-        res.add(f"radial section is diagonal lam={lam}",
+        res.add(f"radial section is diagonal n=1 lam={lam}",
                 float(np.max(np.abs(off)) / np.max(np.abs(top.t))), 1e-15)
     inst = model.ModelInstance(1, -0.5, np.zeros((1, 1)))
     top = oracle.truncated_matrix(model.model_problem(inst), size)
-    res.add("norm at lam=-1/2", abs(top.spectral_norm() - 0.5), 1e-9)
+    res.add("norm at n=1 lam=-1/2", abs(top.spectral_norm() - 0.5), 1e-9)
     return res
 
 
 def suite_slopes(seed: int = 0, n: int = 1) -> SuiteResult:
+    """The radial family q = lam |x|^2 at the suite's n, along e_1: the
+    operator acts on each coordinate alone, so the coherent log-norm slope
+    and the growth exponent are those of n = 1."""
     res = SuiteResult("slopes")
+    e1 = np.eye(n, dtype=complex)[0]
     for lam in (-0.5, 0.2):
-        inst = model.ModelInstance(1, lam, np.zeros((1, 1)))
+        inst = model.ModelInstance(n, lam, np.zeros((n, n)))
         problem = model.model_problem(inst)
-        _, slope = coherent_slope(problem, COHERENT_RADII)
+        _, slope = coherent_slope(problem, COHERENT_RADII, coherent_scale(problem))
         expect = (abs(inst.gamma) ** 2 - 1.0) / 4.0
-        res.add(f"log-norm slope lam={lam}", abs(slope - expect) / abs(expect), 1e-2)
+        res.add(f"log-norm slope n={n} lam={lam}", abs(slope - expect) / abs(expect), 1e-2)
         # growth exponent closed form: (|gamma|^2 - 1) |w|^2 / 2
         f = bergman.bergman_exponent(problem)
-        w = np.array([2.0 + 0.0j])
-        got = bergman.growth_exponent(f, problem.weight, w)
+        got = bergman.growth_exponent(f, problem.weight, 2.0 * e1)
         res.add(
-            f"growth exponent lam={lam}",
+            f"growth exponent n={n} lam={lam}",
             abs(got - (abs(inst.gamma) ** 2 - 1.0) * 2.0),
             1e-12,
         )

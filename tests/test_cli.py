@@ -329,6 +329,25 @@ class TestClassifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "compact"
 
+    def test_reader_that_closes_early_gets_no_traceback(self, tmp_path, capsys):
+        # an n = 12 report is larger than a 64 KiB pipe buffer, so the
+        # write still runs when the reader closes its end after 20 bytes
+        path = tmp_path / "n12.yaml"
+        path.write_text(problem_text(verify.random_admissible_problem(np.random.default_rng(0), 12)))
+        assert main(["classify", str(path)]) == 0
+        assert len(capsys.readouterr().out) > 1 << 16
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")]))
+        child = subprocess.Popen([sys.executable, "-m", "bargtop", "classify", str(path)],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert child.stdout.read(20).startswith(b"{")
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+        assert err == b""  # no traceback, nor any other line
+
 
 def number_text(x):
     # repr, with the '.' YAML 1.1 needs before an exponent
@@ -483,18 +502,20 @@ class TestScanCommand:
     def test_admissible_row_takes_one_svd_of_a(self, monkeypatch):
         # the model witness's: the row builds q' at the normal form with no
         # ModelInstance of its own
-        svd, args, instances = np.linalg.svd, [], []
+        from bargtop import _lapack
+
+        svd, args, instances = _lapack.svdvals, [], []
         post_init = model.ModelInstance.__post_init__
 
-        def counting(m, *rest, **kwargs):
+        def counting(m):
             args.append(m)
-            return svd(m, *rest, **kwargs)
+            return svd(m)
 
         def tracking(self):
             post_init(self)
             instances.append(self)
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(_lapack, "svdvals", counting)
         monkeypatch.setattr(model.ModelInstance, "__post_init__", tracking)
         row = cli._scan_point((-0.5, 0.5, 0.1))
         assert row[3] == "compact" and len(instances) == 1

@@ -283,7 +283,21 @@ class TestLapack:
             (_lapack.det(a), np.linalg.det(a)),
             (_lapack.slogdet(a)[0], np.linalg.slogdet(a)[0]),
             (_lapack.slogdet(a)[1], np.linalg.slogdet(a)[1]),
+            (_lapack.eigvals(a), np.linalg.eigvals(a)),
         ]
+        # a real triangular matrix has its diagonal, all real, as its
+        # spectrum, and gives it as a real array; a real 2 x 2 rotation
+        # block adds a complex-conjugate pair
+        triangular = np.triu(a.real)
+        spectra = [(triangular, "f")]
+        if n >= 2:
+            pairs = triangular.copy()
+            pairs[:2, :2] = [[1.0, 2.0], [-2.0, 1.0]]
+            spectra.append((pairs, "c"))
+        for mat, kind in spectra:
+            got = _lapack.eigvals(mat)
+            assert got.dtype.kind == kind
+            cases.append((got, np.linalg.eigvals(mat)))
         for got, want in cases:
             assert self.bits(got) == self.bits(want)
 
@@ -303,7 +317,7 @@ class TestLapack:
         from bargtop import _lapack
 
         for names in [("eigvalsh_lo",), ("svd", "svd_n"), ("inv",), ("solve",), ("cholesky_lo",),
-                      ("det",), ("slogdet",)]:
+                      ("det",), ("slogdet",), ("eigvals",)]:
             assert any(hasattr(_lapack._gufuncs, name) for name in names), names
 
     def test_missing_gufunc_falls_back_to_np_linalg(self):

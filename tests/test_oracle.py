@@ -680,7 +680,7 @@ class TestCoherentNorms:
         problem = (separable_problem(rng, n) if family == "separable"
                    else diagonal_levi_problem(rng, n) if family == "general"
                    else scalar_problem(-0.4 + 0.1j))
-        logs, _ = coherent_slope(problem, COHERENT_RADII)
+        logs, _ = coherent_slope(problem, COHERENT_RADII, coherent_scale(problem))
         e1 = np.eye(problem.n, dtype=complex)[0]
         one_point = [coherent_norms(problem, [r * e1])[0] for r in COHERENT_RADII]
         assert logs == [float(np.log(norm)) for norm in one_point]
@@ -880,6 +880,54 @@ class TestGaussianIntegral:
     def test_non_finite_matrix_is_refused(self):
         with pytest.raises(NumericalFailure, match="^the test integrand leaves the double range"):
             _GaussianIntegral(np.diag([1.0, np.inf]), "the test integrand")
+
+
+class TestLapackRoute:
+    """The oracle reaches LAPACK through bargtop._lapack, whose entries run
+    NumPy's linalg gufuncs; with every entry rebound to its np.linalg
+    fallback the experiments give the same bytes."""
+
+    FALLBACKS = {
+        "eigvalsh": np.linalg.eigvalsh,
+        "svdvals": lambda a: np.linalg.svd(a, compute_uv=False),
+        "inv": np.linalg.inv,
+        "solve": np.linalg.solve,
+        "cholesky": np.linalg.cholesky,
+        "det": np.linalg.det,
+        "slogdet": np.linalg.slogdet,
+        "eigvals": np.linalg.eigvals,
+    }
+
+    @staticmethod
+    def experiments(seed):
+        """Sections at n = 1 and 2, the closed forms at n = 4, as bytes."""
+        rng = np.random.default_rng([seed, 30])
+        out = []
+        for n in (1, 2):
+            problem = diagonal_levi_problem(rng, n)
+            decay = singular_decay(problem, 40)
+            out += [norm_trend(problem, (10, 20, 40)), decay.singular_values, [decay.ratio]]
+        problem = random_admissible_problem(rng, 4)
+        e = np.eye(4, dtype=complex)
+        points = [0.0 * e[0], e[0], 0.5 * e[1] - 1.5j * e[3]]
+        out += [weyl_convolutions(problem, points), coherent_norms(problem, points)]
+        return [np.asarray(values).tobytes() for values in out]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_bytes_through_np_linalg(self, seed, monkeypatch):
+        from bargtop import _lapack
+
+        direct = self.experiments(seed)
+        called = set()
+        for name, fallback in self.FALLBACKS.items():
+            def counted(*args, name=name, fallback=fallback):
+                called.add(name)
+                return fallback(*args)
+            monkeypatch.setattr(_lapack, name,
+                                _lapack._bound(("no_such_gufunc",), "d->d", "D->D", counted))
+        assert self.experiments(seed) == direct
+        # the oracle's own calls went through the rebound entries
+        assert {"eigvalsh", "svdvals", "inv", "eigvals", "slogdet"} <= called
 
 
 class TestVerdictConsistency:
